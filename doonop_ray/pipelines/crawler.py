@@ -47,7 +47,7 @@ from ..stages.fetch import (Fetcher, Validator, identity_validate_fn,
                             make_backend_fetch_fn, make_fetch_fn,
                             make_validate_fn)
 from ..state.frontier import FrontierCore, FrontierShard
-from ..state.seen import SeenCore, host_shard_of, shards_of_batch
+from ..state.seen import HASH_IMPL, SeenCore, host_shard_of, shards_of_batch
 
 def _stub_fsspec_http_once():
     """aiohttp is absent here, so ``fsspec.implementations.http`` can
@@ -84,6 +84,35 @@ def _wave_table(entries: list[tuple[str, int, int]]) -> pa.Table:
             "depth": pa.array([e[2] for e in entries], pa.int32()),
         }
     )
+
+
+def _newest_checkpoint(cfg: CrawlConfig, prefix: str):
+    """(dir, manifest) of the newest complete ``<prefix>NNNNN``
+    checkpoint under ``cfg.checkpoint_dir``, or None. Refuses one this
+    crawl cannot route identically: a different shard-routing hash (or a
+    manifest that predates recording it) or different shard counts would
+    send URLs to the wrong seen/frontier shard, or drop shard files."""
+    root = cfg.checkpoint_dir
+    ckpts = sorted(
+        d for d in os.listdir(root)
+        if d.startswith(prefix)
+        and os.path.exists(os.path.join(root, d, "manifest.json"))
+    ) if os.path.isdir(root) else []
+    if not ckpts:
+        return None
+    ckpt = os.path.join(root, ckpts[-1])
+    with open(os.path.join(ckpt, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    expected = {"hash_impl": HASH_IMPL,
+                "num_seen_shards": cfg.num_seen_shards,
+                "num_frontier_shards": cfg.num_frontier_shards}
+    for key, want in expected.items():
+        got = manifest.get(key)
+        if got != want:
+            raise RuntimeError(
+                f"checkpoint {ckpt} has {key}={got!r} but this crawl uses "
+                f"{want!r}; resuming would mis-route URLs across shards")
+    return ckpt, manifest
 
 
 class CrawlStats:
@@ -243,6 +272,30 @@ def make_link_router(seen_handles, frontier_handles, retry_policy: str,
     return route
 
 
+def chunk_signature(batch: pa.Table) -> str:
+    """Deterministic name of a chunk's part file, hashed from its (url,
+    attempt) pairs straight off the Arrow buffers: the logical url bytes
+    (the offset-relative slice of the data buffer), the url offsets
+    rebased to 0, and the attempt values. A Ray task retry re-running the
+    chunk overwrites the same file instead of duplicating rows, and since
+    each (url, attempt) pair is drained exactly once per crawl, distinct
+    chunks cannot collide."""
+    import hashlib
+
+    urls = batch.column("url").combine_chunks()
+    off_dtype = np.int64 if pa.types.is_large_string(urls.type) else np.int32
+    _, off_buf, data_buf = urls.buffers()
+    offs = np.frombuffer(off_buf, dtype=off_dtype)[
+        urls.offset: urls.offset + len(urls) + 1]
+    h = hashlib.blake2b(digest_size=12)
+    if data_buf is not None:
+        h.update(memoryview(data_buf)[int(offs[0]): int(offs[-1])])
+    h.update((offs - offs[0]).astype(np.int64).tobytes())
+    h.update(batch.column("attempt").combine_chunks().cast(pa.int32())
+             .to_numpy().astype("<i4").tobytes())
+    return h.hexdigest()
+
+
 def make_persist_fn(run_dir: str):
     """Write each block to its own parquet file BEFORE the router stage:
     'routed == dispatched' settlement then implies the artifacts of every
@@ -251,27 +304,15 @@ def make_persist_fn(run_dir: str):
 
     def persist(batch: pa.Table) -> pa.Table:
         if len(batch):
-            import hashlib
+            import pyarrow.compute as pc
 
             # same on-disk schema as wave mode: links dropped, n_links kept
-            statuses = batch.column("status").to_pylist()
-            links_col = batch.column("links").to_pylist()
-            n_links = pa.array(
-                [len(l) if s == "ok" else 0
-                 for s, l in zip(statuses, links_col)],
-                pa.int32(),
-            )
-            # DETERMINISTIC filename from the chunk's (url, attempt) set:
-            # a Ray task retry re-running this chunk overwrites the same
-            # file instead of duplicating rows ((url, attempt) pairs are
-            # drained exactly once per crawl, so distinct chunks can't
-            # collide)
-            sig = hashlib.blake2b(
-                "|".join(
-                    f"{u}#{a}" for u, a in zip(
-                        batch.column("url").to_pylist(),
-                        batch.column("attempt").to_pylist())
-                ).encode(), digest_size=12).hexdigest()
+            n_links = pc.if_else(
+                pc.equal(batch.column("status"), "ok"),
+                pc.list_value_length(batch.column("links")).fill_null(0),
+                0,
+            ).cast(pa.int32())
+            sig = chunk_signature(batch)
             # write-then-rename: a part file is visible only when complete,
             # so concurrent readers (the flagship's incremental artifact
             # reader) and crash-resume never see a half-written file
@@ -509,11 +550,13 @@ class RayCrawler:
 
             shutil.rmtree(self.out_dir)  # fresh run: drop stale wave dirs
         os.makedirs(self.out_dir, exist_ok=True)
+        ckpt = (_newest_checkpoint(cfg, "wave=")
+                if resume and cfg.checkpoint_dir else None)
         self._spawn_state(ray)
 
         start_wave = 0
-        if resume and cfg.checkpoint_dir:
-            start_wave = self._restore_checkpoint(ray)
+        if ckpt is not None:
+            start_wave = self._restore_checkpoint(ray, *ckpt)
             # a killed run may have half-written newer wave dirs: drop any
             # wave output past the checkpoint, then redo it
             for d in os.listdir(self.out_dir):
@@ -881,12 +924,14 @@ class RayCrawler:
 
             shutil.rmtree(self.out_dir)
         os.makedirs(self.out_dir, exist_ok=True)
+        ckpt = (_newest_checkpoint(cfg, "stream=")
+                if resume and cfg.checkpoint_dir else None)
         self._spawn_state(ray)
 
         run_idx = 0
         base_stats = {"visited": 0, "collected": 0, "errors": 0, "retries": 0}
-        if resume and cfg.checkpoint_dir:
-            run_idx, base_stats = self._restore_stream_checkpoint(ray)
+        if ckpt is not None:
+            run_idx, base_stats = self._restore_stream_checkpoint(ray, *ckpt)
         seed_thread = None
         seed_box: dict = {}
         # Seed on EVERY run, not just run 0: seed pushes are idempotent
@@ -1235,6 +1280,7 @@ class RayCrawler:
             "stats": {k: base_stats[k] + stream_stats[k] for k in stream_stats},
             "num_frontier_shards": cfg.num_frontier_shards,
             "num_seen_shards": cfg.num_seen_shards,
+            "hash_impl": HASH_IMPL,
         }
         tmp = os.path.join(ckpt, "manifest.json.tmp")
         with open(tmp, "w") as fh:
@@ -1242,26 +1288,7 @@ class RayCrawler:
         os.replace(tmp, os.path.join(ckpt, "manifest.json"))
         self._ckpt_seq = seq + 1
 
-    def _restore_stream_checkpoint(self, ray):
-        """Restore the newest stream checkpoint; returns (next_run_idx,
-        stats_at_cut). Artifact files not in the manifest (written after
-        the cut by the killed run) are deleted so output matches the
-        restored seen/frontier state exactly."""
-        root = self.cfg.checkpoint_dir
-        ckpts = sorted(
-            d for d in os.listdir(root)
-            if d.startswith("stream=")
-            and os.path.exists(os.path.join(root, d, "manifest.json"))
-        ) if os.path.isdir(root) else []
-        if not ckpts:
-            return 0, {"visited": 0, "collected": 0, "errors": 0, "retries": 0}
-        ckpt = os.path.join(root, ckpts[-1])
-        with open(os.path.join(ckpt, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        keep = set(manifest["files"])
-        for rel in self._list_artifact_files():
-            if rel not in keep:
-                os.unlink(os.path.join(self.out_dir, rel))
+    def _restore_shards(self, ray, ckpt: str) -> None:
         futs = []
         for i, f in enumerate(self.frontier):
             with open(os.path.join(ckpt, f"frontier_{i:03d}.pkl"), "rb") as fh:
@@ -1270,7 +1297,19 @@ class RayCrawler:
             with open(os.path.join(ckpt, f"seen_{i:03d}.pkl"), "rb") as fh:
                 futs.append(s.restore.remote(fh.read()))
         ray.get(futs)
-        self._ckpt_seq = int(ckpts[-1].split("=")[1]) + 1
+
+    def _restore_stream_checkpoint(self, ray, ckpt: str, manifest: dict):
+        """Restore the stream checkpoint ``ckpt`` (from
+        ``_newest_checkpoint``); returns (next_run_idx, stats_at_cut).
+        Artifact files not in the manifest (written after the cut by the
+        killed run) are deleted so output matches the restored seen/
+        frontier state exactly."""
+        keep = set(manifest["files"])
+        for rel in self._list_artifact_files():
+            if rel not in keep:
+                os.unlink(os.path.join(self.out_dir, rel))
+        self._restore_shards(ray, ckpt)
+        self._ckpt_seq = int(os.path.basename(ckpt).split("=")[1]) + 1
         return manifest["run_idx"] + 1, manifest["stats"]
 
     # ------------------------------------------------------------------
@@ -1384,8 +1423,6 @@ class RayCrawler:
         for i, b in enumerate(s_blobs):
             with open(os.path.join(ckpt, f"seen_{i:03d}.pkl"), "wb") as fh:
                 fh.write(b)
-        from ..state.seen import HASH_IMPL
-
         manifest = {
             "wave_done": wave_done,
             "stats": self.stats.as_dict(),
@@ -1401,34 +1438,8 @@ class RayCrawler:
             json.dump(manifest, fh)
         os.replace(tmp, os.path.join(ckpt, "manifest.json"))  # atomic commit
 
-    def _restore_checkpoint(self, ray) -> int:
-        root = self.cfg.checkpoint_dir
-        waves = sorted(
-            d for d in os.listdir(root)
-            if d.startswith("wave=")
-            and os.path.exists(os.path.join(root, d, "manifest.json"))
-        )
-        if not waves:
-            return 0
-        ckpt = os.path.join(root, waves[-1])
-        with open(os.path.join(ckpt, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        from ..state.seen import HASH_IMPL
-
-        ckpt_impl = manifest.get("hash_impl", HASH_IMPL)
-        if ckpt_impl != HASH_IMPL:
-            raise RuntimeError(
-                f"checkpoint was written with shard-routing hash "
-                f"{ckpt_impl!r} but this environment uses {HASH_IMPL!r}; "
-                "resuming would mis-route URLs across seen shards")
-        futs = []
-        for i, f in enumerate(self.frontier):
-            with open(os.path.join(ckpt, f"frontier_{i:03d}.pkl"), "rb") as fh:
-                futs.append(f.restore.remote(fh.read()))
-        for i, s in enumerate(self.seen):
-            with open(os.path.join(ckpt, f"seen_{i:03d}.pkl"), "rb") as fh:
-                futs.append(s.restore.remote(fh.read()))
-        ray.get(futs)
+    def _restore_checkpoint(self, ray, ckpt: str, manifest: dict) -> int:
+        self._restore_shards(ray, ckpt)
         st = manifest["stats"]
         self.stats.visited = st["visited"]
         self.stats.collected = st["collected"]

@@ -10,9 +10,12 @@ Reference mapping:
   order (/root/reference/src/backend.rs:84-111) → here: a lookup into
   the broadcast synthetic pages table (at web scale this is the real
   HTTP/browser client; the batch contract is identical);
-- link absolutize + filter (/root/reference/src/engine.rs:44-68) is
-  vectorized: one flat absolutize pass + one vectorized filter mask per
-  batch.
+- link absolutize + filter (the reference's engine.rs:44-68) stays
+  in Arrow for the whole batch: the ok rows' link lists are flattened
+  once, ``url.make_absolute_batch`` resolves the common href shapes with
+  Arrow kernels and sends every other href through the scalar
+  ``make_absolute``, one filter mask drops ignored links, and the output
+  ``links`` column is rebuilt from the kept links' parent rows.
 
 Batch contract (all Arrow):
   in : url:string, attempt:int32, depth:int32
@@ -28,7 +31,7 @@ import pyarrow as pa
 
 from ..filters import FilterSpec
 from ..functions.checkfile import CheckFileError
-from ..url import make_absolute
+from ..url import make_absolute_batch
 
 
 def apply_extractor(extractor, page_rows: pa.Table):
@@ -80,6 +83,15 @@ def _deref(maybe_ref):
     except ImportError:
         pass
     return maybe_ref
+
+
+def _list_by_parent(values: pa.Array, parent: np.ndarray,
+                    n: int) -> pa.ListArray:
+    """``list<string>`` column of ``n`` rows from flat values and each
+    value's row (``parent`` is non-decreasing)."""
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(parent, minlength=n), out=offsets[1:])
+    return pa.ListArray.from_arrays(pa.array(offsets), values)
 
 
 class Fetcher:
@@ -143,54 +155,47 @@ class Fetcher:
             pc.cast(rows.column("latency_ms"), pa.int32()), 1
         )
 
-        # absolutize the OK rows' links flat, then one vectorized filter
-        # mask (engine.rs:51-57: drop unparseable, drop if any filter
-        # ignores); link join is inherently per-string python
-        urls_py = batch.column("url").to_pylist()
+        # absolutize the OK rows' links as one flat Arrow column (fast
+        # path for canonical and root-relative hrefs, scalar
+        # make_absolute for the rest), then one filter mask
+        # (engine.rs:51-57: drop unparseable, drop if any filter ignores)
         ok_idx = np.flatnonzero(ok)
-        raw_links = rows.column("links").take(pa.array(ok_idx)).to_pylist()
-        flat: list[str] = []
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        for k, i in enumerate(ok_idx):
-            base = urls_py[i]
-            for href in raw_links[k]:
-                a = make_absolute(base, href)
-                if a is not None:
-                    flat.append(a)
-            offsets[i + 1] = len(flat)
-        # forward-fill offsets for non-ok rows
-        np.maximum.accumulate(offsets, out=offsets)
-        if flat:
-            keep = ~self.filters.ignored_mask(flat)
-        else:
-            keep = np.zeros(0, dtype=bool)
-        links_out: list[list[str]] = [
-            [flat[k] for k in range(offsets[i], offsets[i + 1]) if keep[k]]
-            for i in range(n)
-        ]
+        ok_take = pa.array(ok_idx)
+        ok_urls = batch.column("url").take(ok_take)
+        page_links = rows.column("links").take(ok_take).combine_chunks()
+        absd = make_absolute_batch(ok_urls, page_links)
+        parent = ok_idx[np.asarray(pc.list_parent_indices(page_links))]
+        valid = np.asarray(absd.is_valid())
+        absd, parent = absd.filter(pa.array(valid)), parent[valid]
+        if len(absd):
+            keep = ~self.filters.ignored_mask(absd)
+            absd, parent = absd.filter(pa.array(keep)), parent[keep]
+        links = _list_by_parent(absd, parent, n)
 
         if self.extractor is not None and ok.any():
             page_rows = pa.table(
                 {
-                    "url": pa.array([urls_py[i] for i in ok_idx], pa.string()),
-                    "data": pc.take(datas, pa.array(ok_idx)),
-                    "links": pa.array([links_out[i] for i in ok_idx],
-                                      pa.list_(pa.string())),
-                    "image_id": pc.take(image_ids, pa.array(ok_idx)),
+                    "url": ok_urls,
+                    "data": pc.take(datas, ok_take),
+                    "links": links.take(ok_take),
+                    "image_id": pc.take(image_ids, ok_take),
                 }
             )
             ex_list, failed = apply_extractor(self.extractor, page_rows)
             new_datas = datas.to_pylist() if hasattr(datas, "to_pylist") else list(datas)
             for k, i in enumerate(ok_idx):
                 new_datas[i] = ex_list[k]
-            for k in failed:
+            if failed:
                 # failed script ⇒ that page is an error result: no data,
                 # no links (the reference's whole EngineResult is Err —
                 # engine.rs:29-44 / workload.rs:145-148)
-                i = ok_idx[k]
-                status_np[i] = "error"
-                new_datas[i] = None
-                links_out[i] = []
+                failed_rows = ok_idx[failed]
+                status_np[failed_rows] = "error"
+                for i in failed_rows:
+                    new_datas[i] = None
+                keep = ~np.isin(parent, failed_rows)
+                links = _list_by_parent(absd.filter(pa.array(keep)),
+                                        parent[keep], n)
             datas = pa.array(new_datas, pa.string())
 
         return pa.table(
@@ -200,7 +205,7 @@ class Fetcher:
                 "depth": pc.cast(batch.column("depth"), pa.int32()),
                 "status": pa.array(status_np.tolist(), pa.string()),
                 "data": datas,
-                "links": pa.array(links_out, pa.list_(pa.string())),
+                "links": links,
                 "image_id": image_ids,
                 "latency_ms": latency,
             }
@@ -246,8 +251,29 @@ def _cached(key, build):
     return st
 
 
+def _fetch_key(pages_ref, filters: FilterSpec, extractor) -> tuple:
+    """Worker-cache key of a Fetcher: equal for equal inputs (so one
+    crawl's Fetcher serves the next crawl with the same settings), and
+    different when the filters or the extractor differ. The extractor is
+    keyed by a digest of its pickled bytes, which, unlike ``id()``, a
+    later extractor cannot reuse."""
+    import hashlib
+
+    import cloudpickle
+
+    allow = filters.allow_domains
+    return (
+        "fetch",
+        getattr(pages_ref, "hex", lambda: id(pages_ref))(),
+        tuple(filters.ignore_regexes),
+        None if allow is None else tuple(allow),
+        None if extractor is None else hashlib.blake2b(
+            cloudpickle.dumps(extractor), digest_size=16).hexdigest(),
+    )
+
+
 def make_fetch_fn(pages_ref, filters: FilterSpec, extractor=None):
-    key = ("fetch", getattr(pages_ref, "hex", lambda: id(pages_ref))())
+    key = _fetch_key(pages_ref, filters, extractor)
 
     def fetch_fn(batch: pa.Table) -> pa.Table:
         fetcher = _cached(key, lambda: Fetcher(pages_ref, filters, extractor))

@@ -235,6 +235,13 @@ class HttpFetcher:
         self.opener = urllib.request.build_opener(*handlers)
         self.opener.addheaders = [("User-Agent", self.user_agent)]
 
+    def __getstate__(self):
+        # a used instance holds its thread pool, which cannot pickle; the
+        # copy builds its own on first call
+        state = dict(self.__dict__)
+        state["_pool"] = None
+        return state
+
     def _transport(self, url: str) -> tuple[str, list[str]]:
         """Fetch one page; returns (page_text, raw hrefs in doc order,
         final post-redirect URL — the base a browser would resolve

@@ -54,8 +54,11 @@ except ImportError:  # pragma: no cover - polars ships in this environment
 
 # which batch-hash implementation this process routes with; recorded in
 # crawl checkpoints so a resume under a different environment fails
-# loudly instead of silently routing URLs to the wrong seen shard
-HASH_IMPL = "polars-ahash" if _pl is not None else "fnv-poly64"
+# loudly instead of silently routing URLs to the wrong seen shard.
+# polars documents ``Series.hash`` as unstable across versions, so the
+# polars version is part of the name.
+HASH_IMPL = (f"polars-ahash/{_pl.__version__}" if _pl is not None
+             else "fnv-poly64")
 
 
 def _hash64_poly(arr) -> np.ndarray:

@@ -11,10 +11,17 @@ Mirrors the behavior of the reference's URL handling (rust `url` crate):
 
 Only http/https URLs are considered fetchable here (the synthetic corpus
 emits nothing else).
+
+``make_absolute`` is the one definition of link semantics.
+``make_absolute_batch`` resolves a whole chunk of harvested links with
+Arrow kernels, but only for href shapes whose result it can prove equal
+to ``make_absolute``'s; every other href goes through ``make_absolute``
+itself (see the invariants above ``make_absolute_batch``).
 """
 
 from __future__ import annotations
 
+import ipaddress
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
@@ -51,7 +58,16 @@ def canonicalize(url: str) -> str | None:
     host = (parts.hostname or "").lower()
     if not host:
         return None
-    port = parts.port
+    try:
+        # out-of-range or non-numeric ports drop the URL, as the rust
+        # url crate's parse error does (engine.rs:59-68)
+        port = parts.port
+        if parts.netloc.rpartition("@")[2].startswith("["):
+            # IPv6 literal: keep the brackets (hostname strips them) and
+            # serialize the address in its compressed form
+            host = f"[{ipaddress.IPv6Address(host).compressed}]"
+    except ValueError:
+        return None
     netloc = host
     if port is not None and str(port) != _DEFAULT_PORTS[scheme]:
         netloc = f"{host}:{port}"
@@ -91,3 +107,84 @@ def make_absolute(base: str, href: str) -> str | None:
         return canonicalize(urljoin(base, href))
     except ValueError:
         return None
+
+
+# ---------------------------------------------------------------------------
+# Batch resolution (the fetch stage's link path)
+#
+# Invariants of the fast path. An href is resolved by Arrow kernels only
+# when the result is provably what ``make_absolute`` returns:
+#
+# - an absolute href already in canonical form, ``https?://`` + a
+#   lower-case ``[a-z0-9.-]`` host + a path of safe characters, passes
+#   through unchanged (``canonicalize`` is the identity on it);
+# - a root-relative href, ``/`` + safe path characters with no empty
+#   segment (``urljoin`` collapses ``//`` inside the path), becomes the
+#   base page's origin + the href, when that origin is itself canonical.
+#
+# Safe path characters exclude ``;?#\``, whitespace, control and
+# non-ASCII characters. The host class excludes ports, userinfo and IPv6
+# literals. A dot segment (``/.`` or ``/..`` followed by ``/`` or the end)
+# anywhere disqualifies an href. Every other href, and every href of a
+# page whose origin is not canonical, goes through ``make_absolute``.
+# ---------------------------------------------------------------------------
+
+_SEG_CH = r"[A-Za-z0-9._~!$&'()*+,=:@%-]"
+_ORIGIN = r"https?://[a-z0-9.-]+"
+_CANON_ABS_RE = f"^{_ORIGIN}/(?:{_SEG_CH}|/)*$"
+_ROOT_REL_RE = f"^/(?:{_SEG_CH}+/)*{_SEG_CH}*$"
+_DOT_SEG_RE = r"/\.\.?(?:/|$)"
+_BASE_ORIGIN_RE = f"^(?P<origin>{_ORIGIN})(?:[/?#]|$)"
+
+
+def _mask(arr, pattern: str):
+    import numpy as np
+    import pyarrow.compute as pc
+
+    return np.asarray(pc.match_substring_regex(arr, pattern).fill_null(False))
+
+
+def make_absolute_batch(bases, hrefs):
+    """``make_absolute`` over every href of every page in one pass.
+
+    ``bases`` (``pa.Array`` of string) holds one page URL per row and
+    ``hrefs`` (``list<string>``) that page's harvested links. Returns a
+    flat string array aligned with ``pc.list_flatten(hrefs)``: the
+    absolute canonical URL, or null where ``make_absolute`` drops the
+    href. Arrow is imported here, not at module level: the frontier
+    actors import this module for ``host_of`` only."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(bases, pa.ChunkedArray):
+        bases = bases.combine_chunks()
+    if isinstance(hrefs, pa.ChunkedArray):
+        hrefs = hrefs.combine_chunks()
+    flat = pc.list_flatten(hrefs)
+    if len(flat) == 0:
+        return pa.array([], pa.string())
+    parent = pc.list_parent_indices(hrefs)
+    no_dot = ~_mask(flat, _DOT_SEG_RE)
+    as_is = _mask(flat, _CANON_ABS_RE) & no_dot
+    origin = pc.struct_field(pc.extract_regex(bases, _BASE_ORIGIN_RE), [0])
+    link_origin = origin.take(parent)
+    joined = _mask(flat, _ROOT_REL_RE) & no_dot & np.asarray(
+        link_origin.is_valid())
+    out = pc.if_else(
+        pa.array(as_is), flat,
+        pc.if_else(pa.array(joined),
+                   pc.binary_join_element_wise(link_origin, flat, ""),
+                   pa.scalar(None, pa.string())))
+    slow = ~(as_is | joined) & np.asarray(flat.is_valid())
+    if slow.any():
+        slow_idx = pa.array(np.flatnonzero(slow))
+        base_py = bases.to_pylist()
+        slow_out = [
+            make_absolute(base_py[p], h) for p, h in zip(
+                parent.take(slow_idx).to_pylist(),
+                flat.take(slow_idx).to_pylist())
+        ]
+        out = pc.replace_with_mask(out, pa.array(slow),
+                                   pa.array(slow_out, pa.string()))
+    return out

@@ -420,3 +420,75 @@ def test_hot_host_world_conformance():
     assert engine["order"] == oracle.order
     assert engine["seen"] == oracle.seen
     assert engine["stats"] == oracle.stats()
+
+
+def test_filters_change_between_crawls_on_one_pages_ref(ray_session, tmp_path):
+    """Worker processes cache the fetch stage across crawls. A later
+    crawl over the same broadcast pages ref with another domain
+    allowlist must get a fetch stage with its own filters, not the
+    cached one of the crawl before."""
+    from doonop_ray.stages.fetch import prep_images_table
+
+    w = build_world(WORLDS[1])
+    pages_ref = ray_session.put(w.pages.combine_chunks())
+    images_ref = ray_session.put(prep_images_table(w.images))
+    allowlists = [None, ("h000.example.com", "h001.example.com"),
+                  ("h002.example.com",), None]
+    for i, allow in enumerate(allowlists):
+        cfg = _cfg(w, streaming=True, engines=2, allow_domains=allow)
+        oracle = run_oracle(cfg, w.pages_by_url(), w.robots_map())
+        crawler = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
+                             str(tmp_path / f"out{i}"),
+                             world_seed=WORLDS[1].seed,
+                             pages_ref=pages_ref, images_ref=images_ref)
+        assert crawler.run().as_dict() == oracle.stats(), allow
+        assert crawler.seen_sets() == oracle.seen, allow
+
+
+def _newest_manifest(ckpt_dir, prefix):
+    import glob
+
+    return sorted(glob.glob(str(ckpt_dir / f"{prefix}*" / "manifest.json")))[-1]
+
+
+@pytest.mark.parametrize("tamper", [
+    {"hash_impl": "polars-ahash/0.0.1"},
+    {"num_seen_shards": 3},
+    {"num_frontier_shards": 1},
+    {"hash_impl": None},  # legacy manifest: written before the key
+])
+@pytest.mark.parametrize("streaming", [True, False])
+def test_resume_refuses_a_checkpoint_it_cannot_route(ray_session, tmp_path,
+                                                     tamper, streaming):
+    import json
+
+    w = build_world(WORLDS[0])
+    cfg = _cfg(w, streaming=streaming, engines=2, num_seen_shards=2,
+               num_frontier_shards=2, checkpoint_dir=str(tmp_path / "ckpt"))
+
+    def mk():
+        return RayCrawler(cfg, w.pages, w.images, w.robots_map(),
+                          str(tmp_path / "out"), world_seed=WORLDS[0].seed)
+
+    stats = mk().run().as_dict()
+    path = _newest_manifest(tmp_path / "ckpt",
+                            "stream=" if streaming else "wave=")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    assert manifest["hash_impl"]
+    untouched = dict(manifest)
+    for key, value in tamper.items():
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    key = next(iter(tamper))
+    with pytest.raises(RuntimeError, match=key):
+        mk().run(resume=True)
+    # the refused resume left the artifacts alone; the untouched
+    # manifest still resumes
+    with open(path, "w") as fh:
+        json.dump(untouched, fh)
+    assert mk().run(resume=True).as_dict() == stats

@@ -81,6 +81,27 @@ def test_http_fetcher_batch_contract(www):
     assert out.column("latency_ms")[0].as_py() >= 1
 
 
+def test_used_http_fetcher_round_trips_through_cloudpickle(www):
+    """After a call the fetcher holds its thread pool; pickling must
+    drop it, and the copy fetches with a pool of its own."""
+    import cloudpickle
+    import pyarrow as pa
+
+    base, _ = www
+    f = HttpFetcher(FilterSpec((), None))
+    batch = pa.table({
+        "url": [f"{base}/basic/index.html", f"{base}/basic/about.html"],
+        "attempt": pa.array([0, 0], pa.int32()),
+        "depth": pa.array([0, 0], pa.int32()),
+    })
+    first = f(batch)
+    assert f._pool is not None
+    g = cloudpickle.loads(cloudpickle.dumps(f))
+    assert g._pool is None and f._pool is not None
+    assert g(batch).column("links").to_pylist() == \
+        first.column("links").to_pylist()
+
+
 def test_http_fetcher_redirect_base(www):
     """Relative hrefs absolutize against the POST-redirect URL — a
     browser resolves against the final location. GET /basic/sub is a

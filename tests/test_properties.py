@@ -14,7 +14,7 @@ from doonop_ray.codec import (
     phash64,
     psnr,
 )
-from doonop_ray.url import canonicalize, make_absolute
+from doonop_ray.url import canonicalize, make_absolute, make_absolute_batch
 
 
 @st.composite
@@ -69,6 +69,58 @@ def test_make_absolute_total_and_canonical(href):
     if a is not None:
         assert canonicalize(a) == a
         assert a.startswith(("http://", "https://"))
+
+
+# bases and hrefs built from URL pieces chosen to sit on both sides of
+# every fast-path boundary of make_absolute_batch
+_href_piece = st.sampled_from([
+    "/", "//", ".", "..", "/.", "/..", "/./", "/../", "a", "B", "p", "7",
+    ";x", "?", "#", "?q=1", "#f", ":", "@",
+    "%2e", "%", "~", "-", "_", "'", "!", "=", "&", " ", "\t", "\\", "é",
+])
+_scheme = st.sampled_from(["http://", "https://", "HTTP://", "Https://",
+                           "ftp://", "mailto:", "//", ""])
+_host = st.sampled_from(["h.example.com", "H.Example.com", "a", "1.2.3.4",
+                         "[::1]", "[::1]:80", "x-y.z", "h:8080", "h:80",
+                         "h:99999", "u@h", "é.com", "h.", ""])
+_path = st.lists(_href_piece, max_size=6).map("".join)
+
+
+@st.composite
+def _hrefs(draw):
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return (draw(_scheme) + draw(_host)
+                + draw(st.sampled_from(["", "/"])) + draw(_path))
+    if kind == 1:
+        return "/" + draw(_path)
+    if kind == 2:
+        return draw(st.sampled_from([".", "..", "../", "./", ""])) + draw(_path)
+    return draw(_path)
+
+
+_bases = st.one_of(
+    st.builds(lambda s, h, p: s + h + p,
+              st.sampled_from(["http://", "https://"]),
+              st.sampled_from(["h.example.com", "a", "1.2.3.4"]),
+              st.sampled_from(["/", "/p/3", "/a/b/", "", "?x", "#y", "/a;b"])),
+    st.builds(lambda s, h, p: s + h + "/" + p, _scheme, _host, _path),
+    st.builds(lambda s, h, p: s + h + p, _scheme, _host, _path),
+)
+
+
+@given(st.lists(st.tuples(_bases, st.lists(_hrefs(), max_size=6)),
+                max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_make_absolute_batch_equals_scalar(pages):
+    import pyarrow as pa
+
+    bases = [b for b, _ in pages]
+    hrefs = [hs for _, hs in pages]
+    out = make_absolute_batch(pa.array(bases, pa.string()),
+                              pa.array(hrefs, pa.list_(pa.string())))
+    assert out.to_pylist() == [
+        make_absolute(b, h) for b, hs in pages for h in hs]
 
 
 # ---------------------------------------------------------------------------

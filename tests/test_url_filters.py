@@ -1,7 +1,8 @@
 import pyarrow as pa
 
 from doonop_ray.filters import FilterSpec
-from doonop_ray.url import canonicalize, host_of, make_absolute
+from doonop_ray.url import (canonicalize, host_of, make_absolute,
+                            make_absolute_batch)
 
 
 def test_canonicalize():
@@ -27,6 +28,45 @@ def test_make_absolute_reference_table():
     assert make_absolute("https://e.net/p/3", "../p/5") == "https://e.net/p/5"
     assert make_absolute("https://e.net/p/3", "http://") is None
     assert make_absolute(base, "") is None
+
+
+def test_bad_port_drops_the_link_instead_of_raising():
+    base = "https://e.net/p/3"
+    for href in ("http://h:99999/x", "https://h:abc/", "http://h:-1/",
+                 "//h:70000/x"):
+        assert make_absolute(base, href) is None
+        assert canonicalize(href if "://" in href else "http:" + href) is None
+    assert make_absolute(base, "http://h:65535/x") == "http://h:65535/x"
+    assert make_absolute("http://h:99999/p", "/x") is None
+
+
+def test_ipv6_literal_keeps_its_brackets():
+    assert canonicalize("http://[::1]:80/") == "http://[::1]/"
+    assert canonicalize("http://[::1]:8080/a") == "http://[::1]:8080/a"
+    assert canonicalize("https://[0:0::1]/") == "https://[::1]/"
+    assert canonicalize("http://[::FFFF:1.2.3.4]/") == "http://[::ffff:102:304]/"
+    assert make_absolute("http://[::1]/a/b", "../c") == "http://[::1]/c"
+    assert canonicalize("http://[v1.fe]/") is None
+    assert canonicalize("http://[1.2.3.4]/") is None
+
+
+def test_make_absolute_batch_fast_and_fallback_shapes():
+    bases = ["https://e.net/p/3", "HTTP://E.net/x", "http://e.net:8080/x"]
+    hrefs = [
+        ["https://a.org/x", "/p/5", "../p/5", "http://", "/a//b", "/./x",
+         "/x;y", "/x?q", "HTTP://A.org/", "http://a.org", ""],
+        ["/p/5", "https://a.org/x"],
+        ["/p/5"],
+    ]
+    out = make_absolute_batch(pa.array(bases),
+                              pa.array(hrefs, pa.list_(pa.string())))
+    assert out.to_pylist() == [
+        make_absolute(b, h) for b, hs in zip(bases, hrefs) for h in hs]
+    assert out.to_pylist()[:3] == [
+        "https://a.org/x", "https://e.net/p/5", "https://e.net/p/5"]
+    empty = make_absolute_batch(pa.array(["http://e.net/"]),
+                                pa.array([[]], pa.list_(pa.string())))
+    assert len(empty) == 0
 
 
 def test_regex_filter_mirrors_reference_cases():
