@@ -71,17 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="/tmp/doonop_out/cli")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--checkpoint-every-sec", type=float, default=None,
-                   help="streaming-mode periodic checkpoint interval")
+                   help="periodic checkpoint interval in seconds (with "
+                        "--checkpoint; a final checkpoint is always "
+                        "written)")
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--streaming", action="store_true",
-                   help="one long-lived chunk-task loop instead of the "
-                        "wave loop (unbounded runs only)")
     p.add_argument("--conformance", action="store_true",
                    help="single-lane reference-exact order (j=1 semantics)")
     p.add_argument("--json", action="store_true",
                    help="print collected data as JSON lines to stdout")
     p.add_argument("--max-per-host", type=int, default=None,
-                   help="politeness: max URLs per host per wave")
+                   help="politeness: max URLs released per host per "
+                        "frontier drain poll (not a rate)")
     p.add_argument("--num-cpus", type=int, default=None,
                    help="ray.init num_cpus when no session exists")
     return p
@@ -145,9 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         ignore_regexes=tuple(args.ignore),
         allow_domains=parse_domain_filters(args.filter),
         engines=args.engines,
-        wave_budget=max(args.engines * 64, 64),
         checkpoint_dir=args.checkpoint,
-        streaming=args.streaming,
         checkpoint_every_sec=args.checkpoint_every_sec,
     )
     if args.max_per_host is not None:

@@ -1,8 +1,8 @@
 """Crawl configuration — the logical plan.
 
 Mirrors the reference's CrawlConfig (/root/reference/src/lib.rs:28-41)
-plus the scale knobs the Ray rebuild adds (shard counts, wave budget,
-politeness). Times are virtual-clock milliseconds so tests are
+plus the scale knobs the Ray rebuild adds (shard counts, chunk size,
+politeness, checkpoints). Times are virtual-clock milliseconds so tests are
 deterministic (the reference uses wall-clock SystemTime,
 /root/reference/src/retry.rs:31-44).
 """
@@ -29,14 +29,14 @@ class CrawlConfig:
     # rebuild-only scale knobs
     num_seen_shards: int = 1
     num_frontier_shards: int = 1
-    wave_budget: int | None = None      # max URLs released per wave (None → engines)
-    max_per_host_per_wave: int | None = None  # per-wave politeness cap
+    max_per_host_per_wave: int | None = None  # per-drain-poll cap on URLs
+                                              # released per host (not a
+                                              # rate: see host_rate_per_sec)
     host_rate_per_sec: float | None = None    # token-bucket politeness:
                                               # refill rate per host
     host_burst: float = 4.0                   # token-bucket capacity
-    fetch_batch_size: int = 256
-    checkpoint_dir: str | None = None
-    checkpoint_every_waves: int = 1
+    fetch_batch_size: int = 256         # rows per chunk task
+    checkpoint_dir: str | None = None   # final (and periodic) checkpoints
     seen_mode: str = "exact"            # "exact" | "cuckoo" | "both"
     seen_capacity_per_shard: int | None = None
                                         # cuckoo slots per seen shard.
@@ -48,16 +48,13 @@ class CrawlConfig:
                                         # to an exact overflow stash
                                         # (no false negatives, but
                                         # unbounded memory) — stash
-                                        # occupancy is surfaced in the
-                                        # wave/stream metrics so an
-                                        # undersized run is visible.
+                                        # occupancy (seen_stash in
+                                        # _stream_metrics.jsonl) makes
+                                        # an undersized run visible.
     expected_total_urls: int | None = None
                                         # frontier-budget hint (seed
                                         # count × expected expansion)
                                         # used to size the seen shards
-    use_actor_pools: bool = False       # True: per-wave actor pools (real
-                                        # model-loading fetchers); False:
-                                        # tasks + per-worker state cache
     extractor: object | None = None     # M2/M3 analog: picklable
                                         # fn(page_rows: pa.Table) ->
                                         # pa.Array<string> overriding the
@@ -65,30 +62,15 @@ class CrawlConfig:
     seeds_canonical: bool = False       # True: seeds are pre-canonicalized
                                         # (bulk/sitemap path) -> skip the
                                         # per-URL canonicalize pass
-    min_wave_size: int = 64             # coalesce smaller drains while
-                                        # other waves are in flight (tail
-                                        # waves otherwise each pay full
-                                        # dataset startup)
-    max_inflight_waves: int = 2         # concurrent wave pipelines
-                                        # (continuous dispatch; limit runs
-                                        # force 1 to bound overshoot)
-    streaming: bool = False             # True: ONE long-lived streaming
-                                        # dataset (poller generators feed
-                                        # fetch→validate→persist→route
-                                        # continuously; no per-wave
-                                        # executor startup). limit runs
-                                        # always use wave mode.
-    checkpoint_every_sec: float | None = None  # streaming-mode periodic
-                                        # checkpoint interval (pause →
-                                        # settle → snapshot → resume)
-    collect_artifact_meta: bool = False # streaming-mode: chunk tasks also
-                                        # return the artifact result
-                                        # columns inline so the caller
-                                        # skips the post-crawl parquet
-                                        # read (bench-scale convenience —
-                                        # at 10^10 rows read the
-                                        # partitioned parquet, which is
-                                        # still written either way)
+    streaming: bool = True              # no effect: the chunk-task loop
+                                        # is the only scaled loop; False
+                                        # (the removed wave loop) raises
+    checkpoint_every_sec: float | None = None  # periodic checkpoint
+                                        # interval (pause → settle →
+                                        # snapshot → resume)
 
-    def wave_size(self) -> int:
-        return self.wave_budget if self.wave_budget is not None else self.engines
+    def __post_init__(self):
+        if not self.streaming:
+            raise ValueError(
+                "streaming=False asked for the wave loop, which was "
+                "removed; RayCrawler.run() is the chunk-task loop")

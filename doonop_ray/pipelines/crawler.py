@@ -1,31 +1,30 @@
 """The crawl driver — the reference's dispatch/completion loop
 (/root/reference/src/workload.rs:79-200) re-expressed over Ray.
 
-Three execution modes share the same operator implementations
+Two execution modes share the same operator implementations
 (Fetcher/Validator batch callables, link router, frontier/seen shards):
 
 - ``run_conformance()`` — single in-flight lane, virtual clock: byte-
   exact reproduction of the reference's deterministic j=1 crawl order
   (pinned by /root/reference/src/lib.rs:117-134). Uses the SAME
   Fetcher/Validator batch callables, applied inline on 1-row batches.
-- ``run()`` — scaled mode: frontier + seen state sharded across actors,
-  each wave drained with per-host politeness, fetched/validated by an
-  actor-pool `map_batches` pipeline, links routed back to the seen /
-  frontier shards from inside the tasks (no driver bottleneck), wave
-  artifacts written to partitioned parquet (resumable layout: one
-  directory per wave). Guarantees set-equality of visited/collected/
-  seen with the reference (whose own N>1 interleave is nondeterministic,
-  lib.rs:136-155) plus identical stats counters.
-- ``run_streaming()`` — the round-2 default for unbounded runs
-  (``cfg.streaming``): one long-lived chunk-task loop instead of
-  repeated per-wave Dataset pipelines; same set/stats guarantees, no
-  per-wave executor startup, retries picked up by the next drain poll.
+- ``RayCrawler.run()`` — scaled mode: frontier + seen state sharded
+  across actors; ONE long-lived loop submits a plain Ray task per
+  frontier drain chunk (fetch→validate→persist→route against
+  per-worker-cached broadcast state), links route back to the seen /
+  frontier shards from inside the tasks (no central bottleneck), and
+  each chunk's artifacts land in one parquet part file under
+  ``run=NNN/``. Guarantees set-equality of visited/collected/seen with
+  the reference (whose own N>1 interleave is nondeterministic,
+  lib.rs:136-155) plus identical stats counters; an artifact ``limit``
+  bounds what each poll drains, so a limit run stops at the limit.
 
-Checkpointing (north_rule): after each wave the frontier shards, seen
-shards and per-wave metrics snapshot to ``checkpoint_dir``; ``resume()``
-restores the newest complete wave and continues — a killed job repeats
-at most one wave's fetches (artifacts are re-written per wave dir, so
-the output stays exact).
+Checkpointing (north_rule): one format, ``stream=NNNNN`` under
+``checkpoint_dir`` — the frontier and seen shard snapshots plus the
+artifact-file manifest, taken at a quiesced, settled cut every
+``checkpoint_every_sec`` and when a run ends or is stopped.
+``run(resume=True)`` restores the newest one, deletes artifact files
+written after the cut and continues, so the output stays exact.
 """
 
 from __future__ import annotations
@@ -49,34 +48,7 @@ from ..stages.fetch import (Fetcher, Validator, identity_validate_fn,
 from ..state.frontier import FrontierCore, FrontierShard
 from ..state.seen import HASH_IMPL, SeenCore, host_shard_of, shards_of_batch
 
-def _stub_fsspec_http_once():
-    """aiohttp is absent here, so ``fsspec.implementations.http`` can
-    never import. Ray Data's path resolution re-attempts that import on
-    every read/write (failed imports aren't cached), and two concurrent
-    wave threads racing the import surface as flaky ``ImportError:
-    cannot import name 'HTTPFileSystem'``. Register a minimal stub once,
-    single-threaded, so the import succeeds and is cached; no HTTP
-    filesystem is ever used in this sandbox."""
-    import sys
-    import types
-
-    try:
-        from fsspec.implementations.http import HTTPFileSystem  # noqa: F401
-
-        return
-    except ImportError:
-        pass
-
-    mod = types.ModuleType("fsspec.implementations.http")
-
-    class HTTPFileSystem:  # placeholder type; never instantiated
-        pass
-
-    mod.HTTPFileSystem = HTTPFileSystem
-    sys.modules["fsspec.implementations.http"] = mod
-
-
-def _wave_table(entries: list[tuple[str, int, int]]) -> pa.Table:
+def _entries_table(entries: list[tuple[str, int, int]]) -> pa.Table:
     return pa.table(
         {
             "url": pa.array([e[0] for e in entries], pa.string()),
@@ -86,8 +58,8 @@ def _wave_table(entries: list[tuple[str, int, int]]) -> pa.Table:
     )
 
 
-def _newest_checkpoint(cfg: CrawlConfig, prefix: str):
-    """(dir, manifest) of the newest complete ``<prefix>NNNNN``
+def _newest_checkpoint(cfg: CrawlConfig):
+    """(dir, manifest) of the newest complete ``stream=NNNNN``
     checkpoint under ``cfg.checkpoint_dir``, or None. Refuses one this
     crawl cannot route identically: a different shard-routing hash (or a
     manifest that predates recording it) or different shard counts would
@@ -95,7 +67,7 @@ def _newest_checkpoint(cfg: CrawlConfig, prefix: str):
     root = cfg.checkpoint_dir
     ckpts = sorted(
         d for d in os.listdir(root)
-        if d.startswith(prefix)
+        if d.startswith("stream=")
         and os.path.exists(os.path.join(root, d, "manifest.json"))
     ) if os.path.isdir(root) else []
     if not ckpts:
@@ -174,24 +146,19 @@ class SeenRouterShard(SeenCore):
 
 
 def make_link_router(seen_handles, frontier_handles, retry_policy: str,
-                     num_seen: int, num_frontier: int,
-                     now_ms: float | None,
-                     counters_only: bool = False):
-    """Stateless map_batches fn: candidate links hash-partition to the
+                     num_seen: int, num_frontier: int):
+    """Stateless chunk-stage fn: candidate links hash-partition to the
     seen/router shards and timeouts to the frontier retry lanes — all
     FIRE-AND-FORGET from inside the task (a blocking ray.get in a task
     pins its CPU slot and makes Ray spawn extra workers, silently
-    oversubscribing the node). Emits per-row ``n_links`` so the driver
-    can settle counters against the shards at termination.
+    oversubscribing the node). Returns the chunk's counters (visited /
+    ok / timeout / error / links) so the crawl loop can settle them against
+    the shards; retry timestamps use the chunk's wall clock."""
 
-    Streaming mode (``now_ms=None``): retry timestamps use the batch's
-    wall clock, and ``counters_only=True`` shrinks the output to a 1-row
-    counter table so the chunk task returns counters, not artifacts."""
-
-    def route(batch: pa.Table) -> pa.Table:
+    def route(batch: pa.Table) -> dict[str, int]:
         import pyarrow.compute as pc
 
-        batch_now = now_ms if now_ms is not None else time.monotonic() * 1000.0
+        batch_now = time.monotonic() * 1000.0
         st = batch.column("status")
         ok_mask = pc.equal(st, "ok")
         okb = ok_mask.to_numpy(zero_copy_only=False)
@@ -254,20 +221,13 @@ def make_link_router(seen_handles, frontier_handles, retry_policy: str,
             for f, items in per_retry.items():
                 frontier_handles[f].keep_retry_batch.remote(items, batch_now)
 
-        n_ok = int(np.count_nonzero(okb))
-        n_err = int(pc.sum(pc.equal(st, "error")).as_py() or 0)
-        total_links = int(n_links.sum())
-        if counters_only:
-            return pa.table({
-                "visited": pa.array([len(batch)], pa.int64()),
-                "ok": pa.array([n_ok], pa.int64()),
-                "timeout": pa.array([n_to], pa.int64()),
-                "error": pa.array([n_err], pa.int64()),
-                "links": pa.array([total_links], pa.int64()),
-            })
-        return batch.drop_columns(["links"]).append_column(
-            "n_links", pa.array(n_links, pa.int32())
-        )
+        return {
+            "visited": len(batch),
+            "ok": int(np.count_nonzero(okb)),
+            "timeout": n_to,
+            "error": int(pc.sum(pc.equal(st, "error")).as_py() or 0),
+            "links": int(n_links.sum()),
+        }
 
     return route
 
@@ -306,7 +266,7 @@ def make_persist_fn(run_dir: str):
         if len(batch):
             import pyarrow.compute as pc
 
-            # same on-disk schema as wave mode: links dropped, n_links kept
+            # on-disk schema: links dropped, n_links kept
             n_links = pc.if_else(
                 pc.equal(batch.column("status"), "ok"),
                 pc.list_value_length(batch.column("links")).fill_null(0),
@@ -331,13 +291,18 @@ def make_persist_fn(run_dir: str):
 _CHUNK_FNS_CACHE: dict = {}
 
 
+STAGES = ("table", "fetch", "validate", "persist", "route")
+
+
 def _run_stream_chunk(entries, fns_ref_box):
-    """One streaming chunk: fetch→validate→persist→route a drained batch
-    as a plain Ray task. The stage closures ship once via ray.put and are
+    """One chunk: fetch→validate→persist→route a drained batch as a
+    plain Ray task. The stage closures ship once via ray.put and are
     cached per worker process (the box keeps the ObjectRef from being
     auto-dereferenced per task); the broadcast page/image state inside
     them uses the existing per-worker caches, so a worker pays index
-    build exactly once for the whole crawl."""
+    build exactly once for the whole crawl. Returns the router's
+    counters plus ``stage_sec``, the seconds spent in each of
+    ``STAGES``."""
     import ray
 
     ref = fns_ref_box[0]
@@ -347,9 +312,9 @@ def _run_stream_chunk(entries, fns_ref_box):
         _CHUNK_FNS_CACHE.clear()
         fns = ray.get(ref)
         _CHUNK_FNS_CACHE[key] = fns
-    fetch_fn, validate_fn, persist_fn, route_fn, meta_cols = fns
+    fetch_fn, validate_fn, persist_fn, route_fn = fns
     t0 = time.monotonic()
-    batch = _wave_table(entries)
+    batch = _entries_table(entries)
     t1 = time.monotonic()
     batch = fetch_fn(batch)
     t2 = time.monotonic()
@@ -357,21 +322,9 @@ def _run_stream_chunk(entries, fns_ref_box):
     t3 = time.monotonic()
     persist_fn(batch)
     t4 = time.monotonic()
-    c = route_fn(batch)
+    out = route_fn(batch)
     t5 = time.monotonic()
-    out = {
-        "visited": int(c.column("visited")[0].as_py()),
-        "ok": int(c.column("ok")[0].as_py()),
-        "timeout": int(c.column("timeout")[0].as_py()),
-        "error": int(c.column("error")[0].as_py()),
-        "links": int(c.column("links")[0].as_py()),
-    }
-    if meta_cols:
-        out["meta"] = batch.select(meta_cols)
-    if os.environ.get("DOONOP_WAVE_TIMING"):
-        out["timing"] = (round(t1 - t0, 3), round(t2 - t1, 3),
-                         round(t3 - t2, 3), round(t4 - t3, 3),
-                         round(t5 - t4, 3))
+    out["stage_sec"] = (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)
     return out
 
 
@@ -408,7 +361,6 @@ class RayCrawler:
         self.world_seed = world_seed
         self.filters = FilterSpec(tuple(cfg.ignore_regexes), cfg.allow_domains)
         self.stats = CrawlStats()
-        self.wave = 0
         self._stop_requested = False
         # bulk-seed source as a Ray Dataset (reference EP3 at 10^10 scale):
         # seeding then runs distributed — no driver-side url list
@@ -527,361 +479,12 @@ class RayCrawler:
         return int(out["n"].sum()) if len(out) else 0
 
     # ------------------------------------------------------------------
-    def run(self, max_waves: int | None = None, resume: bool = False):
-        """Continuous-dispatch crawl: up to ``max_inflight_waves`` wave
-        pipelines run concurrently (mirrors the reference's re-dispatch-
-        on-completion loop, workload.rs:151-176, rather than a global
-        barrier per wave); the frontier shards absorb pushes from running
-        waves while the next wave drains. Limit runs fall back to one
-        in-flight wave so the overshoot stays bounded by one wave."""
-        from concurrent.futures import FIRST_COMPLETED
-        from concurrent.futures import ThreadPoolExecutor
-        from concurrent.futures import wait as fwait
-
-        import ray
-        import ray.data as rd
-
-        _stub_fsspec_http_once()
-        cfg = self.cfg
-        if cfg.streaming and cfg.limit is None and max_waves is None:
-            return self.run_streaming(resume=resume)
-        if not (resume and cfg.checkpoint_dir) and os.path.isdir(self.out_dir):
-            import shutil
-
-            shutil.rmtree(self.out_dir)  # fresh run: drop stale wave dirs
-        os.makedirs(self.out_dir, exist_ok=True)
-        ckpt = (_newest_checkpoint(cfg, "wave=")
-                if resume and cfg.checkpoint_dir else None)
-        self._spawn_state(ray)
-
-        start_wave = 0
-        if ckpt is not None:
-            start_wave = self._restore_checkpoint(ray, *ckpt)
-            # a killed run may have half-written newer wave dirs: drop any
-            # wave output past the checkpoint, then redo it
-            for d in os.listdir(self.out_dir):
-                if d.startswith("wave=") and int(d.split("=")[1]) >= start_wave:
-                    import shutil
-
-                    shutil.rmtree(os.path.join(self.out_dir, d))
-        # seed on EVERY run (idempotent through the restored seen set) —
-        # same incremental-recrawl semantics as run_streaming: a resume
-        # whose cfg carries new seeds crawls exactly the unseen subset
-        if self._seeds_ds is not None:
-            if (self._seed_frontier_dataset(ray, self._seeds_ds) == 0
-                    and start_wave == 0):
-                return self.stats
-        else:
-            if (cfg.seeds_canonical and not cfg.ignore_regexes
-                    and cfg.allow_domains is None):
-                seeds = sorted(set(cfg.seeds))  # cfg.rs:338-342 minus the
-                # canonicalize pass (inputs already canonical)
-            else:
-                seeds = clean_seeds(cfg.seeds, self.filters)
-            if not seeds and start_wave == 0:
-                return self.stats
-            if seeds:
-                self._seed_frontier(ray, seeds)
-
-        if self.fetch_backend is None:
-            pages_ref = self._pages_ref or ray.put(self.pages)
-            images_ref = self._images_ref or ray.put(self.images)
-            backend_fetch = None
-        else:
-            pages_ref = images_ref = None
-            backend_fetch = make_backend_fetch_fn(self.fetch_backend)
-        self.wave = start_wave
-        n_inflight = 1 if cfg.limit is not None else max(1, cfg.max_inflight_waves)
-        executor = ThreadPoolExecutor(max_workers=n_inflight)
-        inflight: dict = {}
-
-        def build_wave_ds(entries):
-            # split the wave into blocks so the fetch stage fans out (a
-            # single from_arrow block would serialize on one worker)
-            wave_t = _wave_table(entries)
-            n_blocks = max(
-                1, min(cfg.engines * 2, -(-len(entries) // cfg.fetch_batch_size))
-            )
-            step = -(-len(entries) // n_blocks)
-            blocks = [wave_t.slice(i, step) for i in range(0, len(entries), step)]
-            if backend_fetch is not None:
-                # custom transport (e.g. HttpFetcher): session built once
-                # per worker, no synthetic payload to validate
-                ds = rd.from_arrow(blocks).map_batches(
-                    backend_fetch,
-                    batch_format="pyarrow",
-                    batch_size=cfg.fetch_batch_size,
-                )
-            elif cfg.use_actor_pools:
-                ds = (
-                    rd.from_arrow(blocks)
-                    .map_batches(
-                        Fetcher,
-                        fn_constructor_args=(pages_ref, self.filters,
-                                             cfg.extractor),
-                        batch_format="pyarrow",
-                        batch_size=cfg.fetch_batch_size,
-                        concurrency=(1, cfg.engines),
-                        num_cpus=1,
-                    )
-                    .map_batches(
-                        Validator,
-                        fn_constructor_args=(images_ref, self.world_seed),
-                        fn_constructor_kwargs={
-                            "img_min": self.img_bounds[0],
-                            "img_max": self.img_bounds[1],
-                        },
-                        batch_format="pyarrow",
-                        batch_size=cfg.fetch_batch_size,
-                        concurrency=(1, cfg.engines),
-                        num_cpus=1,
-                    )
-                )
-            else:
-                # stateless tasks + per-worker-process broadcast-state
-                # cache: the page/image index builds once per worker for
-                # the whole crawl, not per wave
-                ds = (
-                    rd.from_arrow(blocks)
-                    .map_batches(
-                        make_fetch_fn(pages_ref, self.filters, cfg.extractor),
-                        batch_format="pyarrow",
-                        batch_size=cfg.fetch_batch_size,
-                    )
-                    .map_batches(
-                        make_validate_fn(images_ref, self.world_seed,
-                                         img_min=self.img_bounds[0],
-                                         img_max=self.img_bounds[1]),
-                        batch_format="pyarrow",
-                        batch_size=cfg.fetch_batch_size,
-                    )
-                )
-            return ds, len(blocks)
-
-        def run_wave(entries, wave_idx, now_ms):
-            wave_dir = os.path.join(self.out_dir, f"wave={wave_idx:05d}")
-            router = make_link_router(
-                self.seen, self.frontier, cfg.retry_policy,
-                cfg.num_seen_shards, cfg.num_frontier_shards, now_ms,
-            )
-            ds, n_blocks = build_wave_ds(entries)
-            ds = ds.map_batches(router, batch_format="pyarrow",
-                                batch_size=max(2048, cfg.fetch_batch_size))
-            t0 = time.monotonic()
-            ds.write_parquet(wave_dir)
-            if wave_idx == 0:
-                # keep the big wave's per-stage breakdown for tuning
-                try:
-                    with open(os.path.join(self.out_dir,
-                                           "_wave0_stats.txt"), "w") as fh:
-                        fh.write(ds.stats())
-                except Exception:
-                    pass
-            if os.environ.get("DOONOP_WAVE_TIMING"):
-                print(
-                    f"wave={wave_idx} n={len(entries)} blocks={n_blocks} "
-                    f"pipe={time.monotonic() - t0:.2f}s",
-                    flush=True,
-                )
-            # light read-back of one column for the wave's stats
-            wt = pq.read_table(wave_dir, columns=["status", "n_links"])
-            st = wt.column("status").to_pylist()
-            return {
-                "wave": wave_idx,
-                "visited": len(st),
-                "ok": sum(s == "ok" for s in st),
-                "timeout": sum(s == "timeout" for s in st),
-                "error": sum(s == "error" for s in st),
-                "links": int(pa.compute.sum(wt.column("n_links")).as_py() or 0),
-                "wall_sec": round(time.monotonic() - t0, 3),
-                "wave_dir": wave_dir,
-            }
-
-        routed = self._routed = {"links": 0, "retries": 0}
-        self.wave_metrics: list[dict] = getattr(self, "wave_metrics", [])
-        self._occ_pending: list[dict] = getattr(self, "_occ_pending", [])
-
-        def absorb(futs):
-            # resolve occupancy futures minted by EARLIER absorb calls
-            # first (one-absorb lag: they are long since done, so this
-            # ray.get is a local fetch, not a barrier) — bounds how many
-            # unresolved futures a raising run can leak
-            for r in self._occ_pending:
-                of = r.pop("_occ_futs", None)
-                if of is not None:
-                    occ = ray.get(of)
-                    r["seen_count"] = sum(o["count"] for o in occ)
-                    r["seen_stash"] = sum(o["stash"] for o in occ)
-            self._occ_pending = []
-            for fut in futs:
-                c = fut.result()
-                del inflight[fut]
-                # seen-set memory telemetry per wave (three ints per
-                # shard; a nonzero stash means the cuckoo capacity is
-                # undersized for this crawl). Fire-and-forget — Ray
-                # gives no cross-caller actor-task ordering, so under a
-                # busy seen shard the value is an APPROXIMATE per-wave
-                # snapshot (it may include a later wave's adds); exact
-                # ordering would need a per-wave ray.get barrier on
-                # every shard, which telemetry does not justify
-                c["_occ_futs"] = [s.occupancy.remote() for s in self.seen]
-                self._occ_pending.append(c)
-                self.wave_metrics.append(c)
-                self.stats.visited += c["visited"]
-                self.stats.collected += c["ok"]
-                routed["links"] += c["links"]
-                if cfg.retry_policy != "no":
-                    self.stats.retries += c["timeout"]
-                    routed["retries"] += c["timeout"]
-                else:
-                    self.stats.errors += c["timeout"]
-                self.stats.errors += c["error"]
-
-        _t = {"drain": 0.0, "settle": 0.0, "wait": 0.0, "loops": 0}
-        # drains are PREFETCHED: the next wave's frontier drain runs while
-        # current waves execute, so drain latency (actor queueing under a
-        # busy node) never sits on the dispatch critical path. Limit runs
-        # stay synchronous so the budget sees fresh collected counts.
-        use_prefetch = cfg.limit is None
-        prefetch = None  # (now_ms, [drain futures])
-        pending: list = []  # coalesced small drains awaiting critical mass
-
-        def start_drain():
-            budget = cfg.wave_size()
-            if cfg.limit is not None:
-                budget = max(1, min(budget, cfg.limit - self.stats.collected))
-            per_shard = max(1, budget // cfg.num_frontier_shards)
-            now_ms = time.monotonic() * 1000.0
-            return (
-                now_ms,
-                [
-                    f.drain.remote(per_shard, now_ms, cfg.max_per_host_per_wave)
-                    for f in self.frontier
-                ],
-            )
-
-        while True:
-            _t["loops"] += 1
-            absorb([f for f in list(inflight) if f.done()])
-
-            closed = (
-                cfg.limit is not None
-                and self.stats.collected > 0
-                and self.stats.collected >= cfg.limit
-            )
-            can_submit = (
-                not closed
-                and not self._stop_requested
-                and (max_waves is None or self.wave < max_waves)
-                and len(inflight) < n_inflight
-            )
-
-            entries = []
-            if can_submit:
-                if prefetch is None:
-                    prefetch = start_drain()
-                now_ms, futs = prefetch
-                prefetch = None
-                _t0 = time.monotonic()
-                drains = ray.get(futs)
-                entries = pending + [e for d in drains for e in d]
-                pending = []
-                _dt = time.monotonic() - _t0
-                _t["drain"] += _dt
-                if _dt > 0.2 and os.environ.get("DOONOP_WAVE_TIMING"):
-                    print(f"SLOWDRAIN {_dt:.2f}s n={len(entries)} inflight={len(inflight)}",
-                          flush=True)
-                if (entries and inflight and cfg.limit is None
-                        and len(entries) < cfg.min_wave_size):
-                    # tail coalescing: a tiny wave would pay full dataset
-                    # startup; hold it until a running wave lands (more
-                    # links/retries arrive meanwhile) — when nothing is in
-                    # flight it submits regardless, so no livelock
-                    pending = entries
-                    entries = []
-                    fwait(list(inflight), return_when=FIRST_COMPLETED)
-                    continue
-
-            if entries:
-                fut = executor.submit(run_wave, entries, self.wave, now_ms)
-                inflight[fut] = self.wave
-                self.wave += 1
-                if use_prefetch and prefetch is None and (
-                    max_waves is None or self.wave < max_waves
-                ):
-                    prefetch = start_drain()
-                if cfg.checkpoint_dir and (
-                    self.wave % cfg.checkpoint_every_waves == 0
-                ):
-                    # checkpoint barrier: quiesce so the snapshot is a
-                    # consistent cut across frontier + seen + artifacts
-                    fwait(list(inflight))
-                    absorb(list(inflight))
-                    self._write_checkpoint(ray, wave_done=self.wave - 1)
-                continue
-
-            if inflight:
-                _t0 = time.monotonic()
-                fwait(list(inflight), return_when=FIRST_COMPLETED)
-                _t["wait"] += time.monotonic() - _t0
-                continue
-            # nothing in flight and nothing drained: finish or spin once
-            if closed or self._stop_requested or (
-                max_waves is not None and self.wave >= max_waves
-            ):
-                break
-            # settle the fire-and-forget routing: every candidate link and
-            # retry emitted by completed waves must have reached its shard
-            # (and seen→frontier forwards must have landed) before
-            # is_empty can be trusted
-            _t0 = time.monotonic()
-            ingested = sum(ray.get([s_.flush.remote() for s_ in self.seen]))
-            retry_rcvd = sum(
-                ray.get([f.retry_received.remote() for f in self.frontier])
-            )
-            if ingested < routed["links"] or retry_rcvd < routed["retries"]:
-                _t["settle"] += time.monotonic() - _t0
-                time.sleep(0.02)
-                continue
-            empty = all(ray.get([f.is_empty.remote() for f in self.frontier]))
-            _t["settle"] += time.monotonic() - _t0
-            if empty:
-                break
-
-        executor.shutdown(wait=True)
-        if pending:
-            # coalesced-but-unsubmitted entries go back to their shards so
-            # a graceful stop / final checkpoint never loses them (attempt
-            # counts already live in the frontier's retry state)
-            per: dict[int, list[tuple[str, int]]] = {}
-            for url, _attempt, depth in pending:
-                per.setdefault(
-                    host_shard_of(url, cfg.num_frontier_shards), []
-                ).append((url, depth))
-            ray.get([
-                self.frontier[f].push.remote(it) for f, it in per.items()
-            ])
-            pending = []
-        if cfg.checkpoint_dir and self.wave > 0:
-            # checkpoint on graceful shutdown (T12 analog, main.rs:41-48 /
-            # workload.rs:191-195) AND on normal completion — the
-            # finished run's seen/frontier state is the warm-start for a
-            # later incremental recrawl (resume=True with new seeds)
-            self._write_checkpoint(ray, wave_done=self.wave - 1)
-        self._write_metrics()
-        if os.environ.get("DOONOP_WAVE_TIMING"):
-            print(f"LOOP {_t}", flush=True)
-        return self.stats
-
-    # ------------------------------------------------------------------
-    def run_streaming(self, resume: bool = False):
-        """Continuous chunk-task crawl (the round-2 scaling fix): ONE
-        long-lived loop submits a plain Ray task per frontier drain chunk
-        — fetch→validate→persist→route runs inside the task against
-        per-worker-cached broadcast state — with a driver-bounded
-        in-flight window for backpressure. No per-wave Dataset/executor
-        startup (~2 s at 32 CPUs in wave mode) and no retry-tail wave
-        chaining: a fired retry is picked up by the next drain poll.
+    def run(self, resume: bool = False):
+        """Continuous chunk-task crawl: ONE long-lived loop submits a
+        plain Ray task per frontier drain chunk — fetch→validate→
+        persist→route runs inside the task against per-worker-cached
+        broadcast state — with a bounded in-flight window for
+        backpressure. A fired retry is picked up by the next drain poll.
 
         Why not a Ray Data pipeline: a Dataset source cannot feed
         downstream operators from a STILL-RUNNING task — measured on this
@@ -890,48 +493,54 @@ class RayCrawler:
         against its own backpressure. The crawl's dynamic feedback loop
         (drained urls → fetched links → frontier → drained urls) is
         exactly the shape the Dataset API can't express; per the design
-        rules this drops to raw tasks, keeping the SAME batch callables
-        the wave-mode Dataset pipeline uses.
+        rules this drops to raw tasks.
 
-        Stats are exact: every chunk's counters return through the task
-        result (no fire-and-forget on the stats path); links/retries
-        settle against the shard counters exactly like wave mode.
+        Stats are exact and live: every chunk's counters return through
+        the task result (no fire-and-forget on the stats path) and are
+        added to ``self.stats`` as the chunk is absorbed; links/retries
+        settle against the shard counters before termination and before
+        every checkpoint.
 
-        Politeness note: ``max_per_host_per_wave`` becomes a per-POLL
-        cap here (polls are much more frequent than waves); use the
-        time-based token buckets (``host_rate_per_sec``/``host_burst``)
-        for real rate limiting in streaming mode — their semantics are
-        identical in both modes.
+        Artifact limit: with ``cfg.limit`` set, a poll drains at most
+        ``max(limit, 1)`` minus the collected count minus the rows of
+        submitted, unabsorbed chunks (split over the frontier shards, at
+        least one each), and the loop closes once ``max(limit, 1)`` are
+        collected — the reference's limit=0 quirk (workload.rs:213-222).
+        With one frontier shard a limit run collects exactly that many
+        (when the world holds them); each further shard can add at most
+        one.
+
+        Politeness note: ``max_per_host_per_wave`` caps what each drain
+        POLL releases per host; use the time-based token buckets
+        (``host_rate_per_sec``/``host_burst``) for real rate limiting.
         """
         import ray
 
         cfg = self.cfg
-        assert cfg.limit is None, "limit runs use wave mode (bounded overshoot)"
         if (cfg.max_per_host_per_wave is not None
                 and cfg.host_rate_per_sec is None):
             import warnings
 
             warnings.warn(
-                "max_per_host_per_wave is a PER-POLL cap in streaming mode "
-                "(polls are far more frequent than waves, so the effective "
-                "per-host release rate is much higher than wave mode's); "
-                "use host_rate_per_sec/host_burst token buckets for "
-                "time-based politeness — their semantics are identical in "
-                "both modes.",
+                "max_per_host_per_wave is a PER-POLL cap: it bounds what "
+                "one frontier drain releases per host, and drains are "
+                "polled continuously, so it does not bound the per-host "
+                "request rate; use host_rate_per_sec/host_burst token "
+                "buckets for time-based politeness.",
                 RuntimeWarning, stacklevel=2)
         if not (resume and cfg.checkpoint_dir) and os.path.isdir(self.out_dir):
             import shutil
 
             shutil.rmtree(self.out_dir)
         os.makedirs(self.out_dir, exist_ok=True)
-        ckpt = (_newest_checkpoint(cfg, "stream=")
+        ckpt = (_newest_checkpoint(cfg)
                 if resume and cfg.checkpoint_dir else None)
         self._spawn_state(ray)
 
+        stats = self.stats = CrawlStats()
         run_idx = 0
-        base_stats = {"visited": 0, "collected": 0, "errors": 0, "retries": 0}
         if ckpt is not None:
-            run_idx, base_stats = self._restore_stream_checkpoint(ray, *ckpt)
+            run_idx = self._restore_checkpoint(ray, *ckpt)
         seed_thread = None
         seed_box: dict = {}
         # Seed on EVERY run, not just run 0: seed pushes are idempotent
@@ -967,7 +576,7 @@ class RayCrawler:
                 # nothing to do on a fresh run; a RESUME with no live
                 # seeds must still fall through to settle + report the
                 # restored stats
-                return self.stats
+                return stats
             if seeds:
                 self._seed_frontier(ray, seeds)
 
@@ -986,17 +595,10 @@ class RayCrawler:
         persist_fn = make_persist_fn(run_dir)
         route_fn = make_link_router(self.seen, self.frontier,
                                     cfg.retry_policy, cfg.num_seen_shards,
-                                    cfg.num_frontier_shards, None,
-                                    counters_only=True)
-        meta_cols = (
-            ["url", "depth", "status", "image_id", "caption_ok",
-             "pixel_ok", "psnr_db"]
-            if cfg.collect_artifact_meta else None
-        )
+                                    cfg.num_frontier_shards)
         # ship the stage closures ONCE; workers cache the deserialized
         # tuple per process (same pattern as the broadcast state caches)
-        fns_ref = ray.put((fetch_fn, validate_fn, persist_fn, route_fn,
-                           meta_cols))
+        fns_ref = ray.put((fetch_fn, validate_fn, persist_fn, route_fn))
         chunk_task = ray.remote(num_cpus=1)(_run_stream_chunk)
 
         n_shards = cfg.num_frontier_shards
@@ -1007,9 +609,9 @@ class RayCrawler:
         # fetch_batch_size-sized so enough chunks are in flight to fill
         # every core
         chunk_rows = max(1, cfg.fetch_batch_size)
-        per_poll = int(os.environ.get("DOONOP_STREAM_DRAIN",
-                                      8 * chunk_rows))
+        per_poll = 8 * chunk_rows
         cap = cfg.max_per_host_per_wave
+        goal = None if cfg.limit is None else max(cfg.limit, 1)
         # in-flight window: enough chunks to keep every core busy plus a
         # dispatch cushion; the window IS the backpressure (object store
         # holds at most window × chunk bytes of artifacts). It RAMPS:
@@ -1022,54 +624,65 @@ class RayCrawler:
         window_ramp = max(2, cfg.engines)
         absorbed_chunks = 0
 
-        inflight: set = set()
+        inflight: dict = {}  # submitted, unabsorbed chunk ref → its rows
         routed = self._routed = {"links": 0, "retries": 0}
-        stats = self.stats
-        stream_stats = {"visited": 0, "collected": 0, "errors": 0,
-                        "retries": 0}
-
-        self._artifact_meta: list = []
+        stage_sec = dict.fromkeys(STAGES, 0.0)
 
         def absorb(done_refs):
             nonlocal absorbed_chunks
             absorbed_chunks += len(done_refs)
+            for r in done_refs:
+                del inflight[r]
             for c in ray.get(list(done_refs)):
-                if "meta" in c:
-                    self._artifact_meta.append(c["meta"])
-                if "timing" in c and absorbed_chunks < 80:
-                    print(f"CHUNK {absorbed_chunks} {c['visited']} rows "
-                          f"{c['timing']}", flush=True)
-                stream_stats["visited"] += c["visited"]
-                stream_stats["collected"] += c["ok"]
+                stats.visited += c["visited"]
+                stats.collected += c["ok"]
                 routed["links"] += c["links"]
                 if cfg.retry_policy != "no":
-                    stream_stats["retries"] += c["timeout"]
+                    stats.retries += c["timeout"]
                     routed["retries"] += c["timeout"]
                 else:
-                    stream_stats["errors"] += c["timeout"]
-                stream_stats["errors"] += c["error"]
+                    stats.errors += c["timeout"]
+                stats.errors += c["error"]
+                for stage, sec in zip(STAGES, c["stage_sec"]):
+                    stage_sec[stage] += sec
+
+        def issue_drains() -> list:
+            budget = per_poll
+            if goal is not None:
+                budget = goal - stats.collected - sum(inflight.values())
+                if budget <= 0:
+                    return []  # the in-flight chunks may reach the goal
+                budget = max(1, budget // n_shards)
+            now_ms = time.monotonic() * 1000.0
+            return [f.drain.remote(budget, now_ms, cap) for f in self.frontier]
+
+        def settled() -> bool:
+            """Every routed link and retry landed on its shard (and the
+            seen→frontier forwards landed too)."""
+            ingested = sum(ray.get([s_.flush.remote() for s_ in self.seen]))
+            if ingested < routed["links"]:
+                return False
+            return sum(ray.get([f.retry_received.remote()
+                                for f in self.frontier])) >= routed["retries"]
+
+        def settle():
+            while not settled():
+                time.sleep(0.02)
 
         def settle_and_empty() -> bool:
-            """True when every routed link/retry landed AND all frontier
-            shards are empty — the wave loop's terminal protocol."""
+            """True when the crawl is done: seeding finished, everything
+            routed landed and all frontier shards are empty."""
             if seed_thread is not None and seed_thread.is_alive():
                 return False  # mid-seeding emptiness is not termination
             if "err" in seed_box:
                 raise seed_box["err"]
-            ingested = sum(ray.get([s_.flush.remote() for s_ in self.seen]))
-            if ingested < routed["links"]:
-                return False
-            rr = sum(ray.get(
-                [f.retry_received.remote() for f in self.frontier]))
-            if rr < routed["retries"]:
-                return False
-            return all(ray.get([f.is_empty.remote() for f in self.frontier]))
+            return settled() and all(
+                ray.get([f.is_empty.remote() for f in self.frontier]))
 
         def quiesce():
             nonlocal drains
             while inflight:
                 done, _ = ray.wait(list(inflight), num_returns=len(inflight))
-                inflight.difference_update(done)
                 absorb(done)
             # drained-but-unsubmitted entries (prefetch in flight) go back
             for d in ray.get(drains):
@@ -1088,11 +701,11 @@ class RayCrawler:
         _t = {"drain": 0.0, "wait": 0.0, "idle": 0.0, "loops": 0,
               "chunks": 0}
         # prefetched drains: next chunk's drain runs while chunks execute
-        drains = [f.drain.remote(per_poll, time.monotonic() * 1000.0, cap)
-                  for f in self.frontier]
+        drains = issue_drains()
         while True:
             _t["loops"] += 1
-            if self._stop_requested:
+            if self._stop_requested or (
+                    goal is not None and stats.collected >= goal):
                 break
             # consume drains AS THEY COMPLETE: a frontier shard that is
             # busy absorbing pushes answers its drain late, and waiting
@@ -1121,7 +734,6 @@ class RayCrawler:
                         # latency, not frontier-drain latency (keep the
                         # drain_sec metric attributable for A/Bs)
                         _t["wait"] += _dt
-                        inflight.discard(r)
                         absorb([r])
                         continue
                     _t["drain"] += _dt
@@ -1141,11 +753,11 @@ class RayCrawler:
                             _t0 = time.monotonic()
                             done, _ = ray.wait(list(inflight),
                                                num_returns=1)
-                            inflight.difference_update(done)
                             absorb(done)
                             _t["wait"] += time.monotonic() - _t0
-                        inflight.add(chunk_task.remote(
-                            entries[i:i + rows_this], [fns_ref]))
+                        chunk = entries[i:i + rows_this]
+                        inflight[chunk_task.remote(chunk, [fns_ref])] = \
+                            len(chunk)
                         n_new += 1
             _t["chunks"] += n_new
             if inflight:
@@ -1159,7 +771,6 @@ class RayCrawler:
                     num_returns=1,
                     timeout=None if n_new == 0 else 0,
                 )
-                inflight.difference_update(done)
                 absorb(done)
                 _t["wait"] += time.monotonic() - _t0
             if n_new == 0 and not inflight:
@@ -1174,24 +785,13 @@ class RayCrawler:
                     and (seed_thread is None or not seed_thread.is_alive())
                     and time.monotonic() - last_ckpt
                     >= cfg.checkpoint_every_sec):
-                quiesce()
                 # settle only (emptiness not required for a periodic
-                # checkpoint): loop until every routed link/retry landed
-                while True:
-                    ingested = sum(ray.get(
-                        [s_.flush.remote() for s_ in self.seen]))
-                    rr = sum(ray.get([f.retry_received.remote()
-                                      for f in self.frontier]))
-                    if (ingested >= routed["links"]
-                            and rr >= routed["retries"]):
-                        break
-                    time.sleep(0.02)
-                self._stream_checkpoint(ray, run_idx, base_stats,
-                                        stream_stats)
+                # checkpoint)
+                quiesce()
+                settle()
+                self._stream_checkpoint(ray, run_idx)
                 last_ckpt = time.monotonic()
-            drains = [f.drain.remote(per_poll, time.monotonic() * 1000.0,
-                                     cap)
-                      for f in self.frontier]
+            drains = issue_drains()
 
         if seed_thread is not None:
             # a stop mid-seeding must not checkpoint a partial frontier:
@@ -1201,45 +801,35 @@ class RayCrawler:
             if "err" in seed_box:
                 raise seed_box["err"]
         quiesce()
-        if os.environ.get("DOONOP_WAVE_TIMING"):
-            print(f"STREAM {_t}", flush=True)
-        stats.visited = base_stats["visited"] + stream_stats["visited"]
-        stats.collected = base_stats["collected"] + stream_stats["collected"]
-        stats.errors = base_stats["errors"] + stream_stats["errors"]
-        stats.retries = base_stats["retries"] + stream_stats["retries"]
         if cfg.checkpoint_dir:
             # final checkpoint on BOTH graceful stop and normal
             # completion: a finished run's seen/frontier state is what a
             # later resume=True warm-starts from (incremental recrawl —
             # re-seeded URLs dedup against the restored seen set, only
             # genuinely new seeds expand)
-            while True:
-                ingested = sum(ray.get(
-                    [s_.flush.remote() for s_ in self.seen]))
-                rr = sum(ray.get([f.retry_received.remote()
-                                  for f in self.frontier]))
-                if ingested >= routed["links"] and rr >= routed["retries"]:
-                    break
-                time.sleep(0.02)
-            self._stream_checkpoint(ray, run_idx, base_stats, stream_stats)
-        # lineage/metrics row for this streaming run (the wave loop's
-        # _wave_metrics.parquet analog; north_rule audit trail)
+            settle()
+            self._stream_checkpoint(ray, run_idx)
+        # one metrics row per run (north_rule audit trail): where the
+        # crawl loop's time went, the summed in-task stage seconds, and the
+        # seen shards' occupancy (a nonzero stash means the cuckoo
+        # capacity is undersized for this crawl)
+        occ = ray.get([s_.occupancy.remote() for s_ in self.seen])
         metrics = {
-            "mode": "stream",
             "run_idx": run_idx,
             "run_dir": run_dir,
             "chunks": _t["chunks"],
             "loops": _t["loops"],
             "drain_sec": round(_t["drain"], 3),
             "wait_sec": round(_t["wait"], 3),
+            "idle_sec": round(_t["idle"], 3),
+            "stage_sec": {k: round(v, 3) for k, v in stage_sec.items()},
             "stats": stats.as_dict(),
             "artifact_files": len(self._list_artifact_files()),
+            "seen_count": sum(o["count"] for o in occ),
+            "seen_stash": sum(o["stash"] for o in occ),
         }
-        occ = ray.get([s_.occupancy.remote() for s_ in self.seen])
-        metrics["seen_count"] = sum(o["count"] for o in occ)
-        metrics["seen_stash"] = sum(o["stash"] for o in occ)
-        hist = os.path.join(self.out_dir, "_stream_metrics.jsonl")
-        with open(hist, "a") as fh:
+        with open(os.path.join(self.out_dir, "_stream_metrics.jsonl"),
+                  "a") as fh:
             fh.write(json.dumps(metrics) + "\n")
         return stats
 
@@ -1251,11 +841,10 @@ class RayCrawler:
             if f.endswith(".parquet") and not f.startswith("_")
         )
 
-    def _stream_checkpoint(self, ray, run_idx: int,
-                           base_stats: dict, stream_stats: dict):
-        """Quiesced streaming checkpoint. The caller has already drained
-        the in-flight chunk window and settled the link/retry counters —
-        and persist runs BEFORE route inside each chunk, so every counted
+    def _stream_checkpoint(self, ray, run_idx: int):
+        """Quiesced checkpoint. The caller has already drained the
+        in-flight chunk window and settled the link/retry counters — and
+        persist runs BEFORE route inside each chunk, so every counted
         row's artifact is on disk. Snapshot = shard state + the artifact
         file manifest; a resume deletes files not in the manifest, so at
         most one checkpoint interval of fetches is repeated and the
@@ -1274,21 +863,32 @@ class RayCrawler:
             with open(os.path.join(ckpt, f"seen_{i:03d}.pkl"), "wb") as fh:
                 fh.write(b)
         manifest = {
-            "mode": "stream",
             "run_idx": run_idx,
             "files": self._list_artifact_files(),
-            "stats": {k: base_stats[k] + stream_stats[k] for k in stream_stats},
+            "stats": self.stats.as_dict(),
             "num_frontier_shards": cfg.num_frontier_shards,
             "num_seen_shards": cfg.num_seen_shards,
+            # shard-routing hash of the writing process: a resume under
+            # an environment with a different impl would silently route
+            # URLs to the wrong seen shard — fail loudly instead
             "hash_impl": HASH_IMPL,
         }
         tmp = os.path.join(ckpt, "manifest.json.tmp")
         with open(tmp, "w") as fh:
             json.dump(manifest, fh)
-        os.replace(tmp, os.path.join(ckpt, "manifest.json"))
+        os.replace(tmp, os.path.join(ckpt, "manifest.json"))  # atomic commit
         self._ckpt_seq = seq + 1
 
-    def _restore_shards(self, ray, ckpt: str) -> None:
+    def _restore_checkpoint(self, ray, ckpt: str, manifest: dict) -> int:
+        """Restore the checkpoint ``ckpt`` (from ``_newest_checkpoint``)
+        into the shards and ``self.stats``; returns the next run index.
+        Artifact files not in the manifest (written after the cut by the
+        killed run) are deleted so output matches the restored seen/
+        frontier state exactly."""
+        keep = set(manifest["files"])
+        for rel in self._list_artifact_files():
+            if rel not in keep:
+                os.unlink(os.path.join(self.out_dir, rel))
         futs = []
         for i, f in enumerate(self.frontier):
             with open(os.path.join(ckpt, f"frontier_{i:03d}.pkl"), "rb") as fh:
@@ -1297,24 +897,14 @@ class RayCrawler:
             with open(os.path.join(ckpt, f"seen_{i:03d}.pkl"), "rb") as fh:
                 futs.append(s.restore.remote(fh.read()))
         ray.get(futs)
-
-    def _restore_stream_checkpoint(self, ray, ckpt: str, manifest: dict):
-        """Restore the stream checkpoint ``ckpt`` (from
-        ``_newest_checkpoint``); returns (next_run_idx, stats_at_cut).
-        Artifact files not in the manifest (written after the cut by the
-        killed run) are deleted so output matches the restored seen/
-        frontier state exactly."""
-        keep = set(manifest["files"])
-        for rel in self._list_artifact_files():
-            if rel not in keep:
-                os.unlink(os.path.join(self.out_dir, rel))
-        self._restore_shards(ray, ckpt)
+        for key, value in manifest["stats"].items():
+            setattr(self.stats, key, value)
         self._ckpt_seq = int(os.path.basename(ckpt).split("=")[1]) + 1
-        return manifest["run_idx"] + 1, manifest["stats"]
+        return manifest["run_idx"] + 1
 
     # ------------------------------------------------------------------
     def request_stop(self):
-        """Graceful shutdown: stop dispatching, drain in-flight waves,
+        """Graceful shutdown: stop dispatching, drain in-flight chunks,
         checkpoint, return (the reference's ctrl-c path, T12)."""
         self._stop_requested = True
 
@@ -1347,41 +937,6 @@ class RayCrawler:
         ds = rd.read_parquet(artifact_dir)
         ds.write_json(dest_dir)
 
-    def _write_metrics(self):
-        """Per-wave lineage + metrics rows (north_rule): which wave dir
-        holds which rows, with status counts and wall time — the audit
-        trail a resume inspects alongside the checkpoint manifests."""
-        if not self.wave_metrics:
-            return
-        rows = sorted(self.wave_metrics, key=lambda r: r["wave"])
-        # resolve the deferred per-wave occupancy futures (values were
-        # computed on the actors at each wave's absorb time)
-        import ray
-
-        for r in rows:
-            futs = r.pop("_occ_futs", None)
-            if futs is not None:
-                occ = ray.get(futs)
-                r["seen_count"] = sum(o["count"] for o in occ)
-                r["seen_stash"] = sum(o["stash"] for o in occ)
-        t = pa.table(
-            {
-                "wave": pa.array([r["wave"] for r in rows], pa.int32()),
-                "visited": pa.array([r["visited"] for r in rows], pa.int64()),
-                "collected": pa.array([r["ok"] for r in rows], pa.int64()),
-                "timeouts": pa.array([r["timeout"] for r in rows], pa.int64()),
-                "errors": pa.array([r["error"] for r in rows], pa.int64()),
-                "links_routed": pa.array([r["links"] for r in rows], pa.int64()),
-                "wall_sec": pa.array([r["wall_sec"] for r in rows], pa.float64()),
-                "wave_dir": pa.array([r["wave_dir"] for r in rows], pa.string()),
-                "seen_count": pa.array(
-                    [r.get("seen_count", 0) for r in rows], pa.int64()),
-                "seen_stash": pa.array(
-                    [r.get("seen_stash", 0) for r in rows], pa.int64()),
-            }
-        )
-        pq.write_table(t, os.path.join(self.out_dir, "_wave_metrics.parquet"))
-
     # ------------------------------------------------------------------
     def seen_sets(self):
         import ray
@@ -1391,61 +946,6 @@ class RayCrawler:
             blob = ray.get(s.snapshot.remote())
             out.update(pickle.loads(blob)["exact"])
         return out
-
-    # ------------------------------------------------------------------
-    def _write_checkpoint(self, ray, wave_done: int):
-        ckpt = os.path.join(self.cfg.checkpoint_dir, f"wave={wave_done:05d}")
-        os.makedirs(ckpt, exist_ok=True)
-        # settle the fire-and-forget routing before snapshotting: Ray
-        # gives no cross-caller actor-task ordering, so links/retries
-        # emitted by completed waves can still be in transit when the
-        # quiesce barrier passes. Loop on the same routed-counter
-        # settlement the terminal drain uses — otherwise a resume from
-        # this checkpoint silently drops the in-transit URLs (absent
-        # from both the seen set and the frontier).
-        routed = getattr(self, "_routed", None)
-        while True:
-            ingested = sum(ray.get([s.flush.remote() for s in self.seen]))
-            if routed is None:
-                break
-            retry_rcvd = sum(
-                ray.get([f.retry_received.remote() for f in self.frontier])
-            )
-            if (ingested >= routed["links"]
-                    and retry_rcvd >= routed["retries"]):
-                break
-            time.sleep(0.02)
-        f_blobs = ray.get([f.snapshot.remote() for f in self.frontier])
-        s_blobs = ray.get([s.snapshot.remote() for s in self.seen])
-        for i, b in enumerate(f_blobs):
-            with open(os.path.join(ckpt, f"frontier_{i:03d}.pkl"), "wb") as fh:
-                fh.write(b)
-        for i, b in enumerate(s_blobs):
-            with open(os.path.join(ckpt, f"seen_{i:03d}.pkl"), "wb") as fh:
-                fh.write(b)
-        manifest = {
-            "wave_done": wave_done,
-            "stats": self.stats.as_dict(),
-            "num_frontier_shards": self.cfg.num_frontier_shards,
-            "num_seen_shards": self.cfg.num_seen_shards,
-            # shard-routing hash of the writing process: a resume under
-            # an environment with a different impl would silently route
-            # URLs to the wrong seen shard — fail loudly instead
-            "hash_impl": HASH_IMPL,
-        }
-        tmp = os.path.join(ckpt, "manifest.json.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh)
-        os.replace(tmp, os.path.join(ckpt, "manifest.json"))  # atomic commit
-
-    def _restore_checkpoint(self, ray, ckpt: str, manifest: dict) -> int:
-        self._restore_shards(ray, ckpt)
-        st = manifest["stats"]
-        self.stats.visited = st["visited"]
-        self.stats.collected = st["collected"]
-        self.stats.errors = st["errors"]
-        self.stats.retries = st["retries"]
-        return manifest["wave_done"] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -1505,7 +1005,7 @@ def run_conformance(cfg: CrawlConfig, pages: pa.Table | None,
         order.append(url)
         stats.visited += 1
         row = fetcher(
-            _wave_table([(url, attempt, depth)])
+            _entries_table([(url, attempt, depth)])
         )
         status = row.column("status")[0].as_py()
         clock_ms += row.column("latency_ms")[0].as_py()

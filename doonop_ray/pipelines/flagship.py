@@ -19,13 +19,13 @@ from ..synth import World, WorldParams, build_world, read_world
 
 # bench tier ("0.1") uses larger images so the per-page decode+validate
 # compute matches a realistic image-crawl payload (scaling evidence needs
-# compute-dominated waves, BASELINE.md)
+# compute-dominated chunks, BASELINE.md)
 _TIERS = {
     "0.001": dict(n_hosts=8, pages_per_host=30, img=(16, 40)),
     "0.01": dict(n_hosts=16, pages_per_host=150, img=(16, 40)),
     "0.1": dict(n_hosts=40, pages_per_host=600, img=(56, 72)),
     # 4x world for the two-cluster-size scaling evidence: enough backlog
-    # that wave pipelines stay overlapped and compute-dominated
+    # that the chunk window stays full and compute-dominated
     "scale": dict(n_hosts=80, pages_per_host=1200, img=(56, 72)),
     # heavy-image variant: per-page decode+validate compute dominates the
     # coordination floor, so the two-parallelism comparison measures the
@@ -132,44 +132,32 @@ def world_for(sf_dir: str, cache_root: str = "/tmp/doonop_worlds") -> World:
 
 
 def _crawl_cfg(w: World, tier: str, **kw) -> CrawlConfig:
-    scale = {"0.001": (4, 64, 16), "0.01": (8, 512, 64),
-             "0.1": (32, 8192, 512), "scale": (32, 16384, 512),
-             "scaleh": (32, 16384, 512), "scalehq": (32, 8192, 512),
-             "skew": (32, 8192, 512)}[tier]
-    engines, wave, batch = scale
+    engines, batch = {"0.001": (4, 16), "0.01": (8, 64), "0.1": (32, 512),
+                      "scale": (32, 512), "scaleh": (32, 512),
+                      "scalehq": (32, 512), "skew": (32, 512)}[tier]
     base = dict(
         seeds=w.seeds.column("url").to_pylist(),
         use_robots=True,
         retry_threshold_ms=0,
         engines=engines,
-        wave_budget=wave,
         fetch_batch_size=batch,
         num_seen_shards=max(1, engines // 8),
         num_frontier_shards=max(1, engines // 8),
-        max_inflight_waves=4,  # organic ramp benefits from deeper overlap
-        streaming=True,  # round-2: one long-lived chunk-task loop (limit
-                         # runs auto-fall back to wave mode)
-        # collect_artifact_meta stays at its scale-safe default (False):
-        # results come from the partitioned parquet the chunks persist —
-        # a 10^10-visit crawl must not concatenate artifact columns on
-        # the driver (round-2 VERDICT #2)
     )
     base.update(kw)
     return CrawlConfig(**base)
 
 
-def _run_crawl(sf_dir: str, out_dir: str | None, bulk_seed: bool,
-               **cfg_kw):
-    """Run the flagship crawl, returning (crawler, out_dir) without
-    reading the artifact output back — consumers that keep processing
-    distributed (e.g. ``build_training_dataset``) read the partitioned
-    parquet themselves."""
+def _run_crawl(sf_dir: str, out_dir: str, bulk_seed: bool, **cfg_kw) -> None:
+    """Run the flagship crawl into ``out_dir`` without reading the
+    artifact output back — consumers that keep processing distributed
+    (e.g. ``build_training_dataset``) read the partitioned parquet
+    themselves."""
     tier = tier_of(sf_dir)
     w = world_for(sf_dir)
-    out_dir = out_dir or f"/tmp/doonop_out/flagship_{tier}_{os.getpid()}"
     seeds_ds = None
     if bulk_seed:
-        # full frontier from wave 0 (reference EP3 / sitemap bulk path):
+        # full frontier up front (reference EP3 / sitemap bulk path):
         # the seed list is fed as a DATASET and the crawler seeds its
         # shards distributed — no driver-side url list (round-2 VERDICT #3)
         import ray.data as rd
@@ -178,8 +166,6 @@ def _run_crawl(sf_dir: str, out_dir: str | None, bulk_seed: bool,
         step = 8192
         seeds_ds = rd.from_arrow(
             [url_tbl.slice(i, step) for i in range(0, len(url_tbl), step)])
-        cfg_kw.setdefault("wave_budget", len(url_tbl) + 1024)
-        cfg_kw.setdefault("max_inflight_waves", 2)
         cfg_kw.setdefault("seeds_canonical", True)
     cfg = _crawl_cfg(w, tier, **cfg_kw)
     from .crawler import RayCrawler
@@ -191,7 +177,6 @@ def _run_crawl(sf_dir: str, out_dir: str | None, bulk_seed: bool,
                          pages_ref=pages_ref, images_ref=images_ref,
                          seeds_ds=seeds_ds)
     crawler.run()
-    return crawler, out_dir
 
 
 _ART_COLS = ["url", "depth", "status", "image_id", "caption_ok",
@@ -201,14 +186,13 @@ _ART_COLS = ["url", "depth", "status", "image_id", "caption_ok",
 class _ArtifactReader:
     """Incremental reader of the crawl's persisted artifact parts.
 
-    The streaming crawler publishes each chunk's part file with an
-    atomic rename, so any visible ``part-*.parquet`` is complete; this
-    thread polls the out dir during the crawl and reads new parts as
-    they appear, overlapping the (formerly post-crawl) result read with
-    the tail of the crawl itself (round-2 VERDICT scaling item: overlap
-    the final artifact read with the tail window). ``finish()`` does one
-    last full scan — catching wave-mode files too, which don't match the
-    streaming part naming — after all writers have stopped."""
+    The crawler publishes each chunk's part file with an atomic rename,
+    so any visible ``part-*.parquet`` is complete; this thread polls the
+    out dir during the crawl and reads new parts as they appear,
+    overlapping the (formerly post-crawl) result read with the tail of
+    the crawl itself (round-2 VERDICT scaling item: overlap the final
+    artifact read with the tail window). ``finish()`` does one last scan
+    after all writers have stopped, and raises on an unreadable file."""
 
     def __init__(self, out_dir: str, columns: list[str]):
         import threading
@@ -223,14 +207,10 @@ class _ArtifactReader:
         self._thread.start()
         return self
 
-    def _scan(self, pattern_only: bool = True):
+    def _scan(self, final: bool = False):
         for dp, _, fs in os.walk(self.out_dir):
             for f in fs:
-                # skip metadata/hidden files (_wave_metrics.parquet etc.
-                # — same convention pyarrow dataset discovery applies)
-                if not f.endswith(".parquet") or f.startswith(("_", ".")):
-                    continue
-                if pattern_only and not f.startswith("part-"):
+                if not (f.startswith("part-") and f.endswith(".parquet")):
                     continue
                 p = os.path.join(dp, f)
                 if p in self.tables:
@@ -238,10 +218,9 @@ class _ArtifactReader:
                 try:
                     self.tables[p] = pq.read_table(p, columns=self.columns)
                 except Exception:
-                    if pattern_only:
-                        self.tables.pop(p, None)  # retry next scan
-                    else:
+                    if final:
                         raise
+                    # retry next scan
 
     def _poll(self):
         while not self._stop.wait(0.05):
@@ -250,7 +229,7 @@ class _ArtifactReader:
     def finish(self):
         self._stop.set()
         self._thread.join()
-        self._scan(pattern_only=False)  # post-run: all writers stopped
+        self._scan(final=True)  # post-run: all writers stopped
         import pyarrow as pa
 
         if not self.tables:
@@ -277,41 +256,25 @@ def flagship_crawl(sf_dir: str, out_dir: str | None = None,
         import shutil
 
         shutil.rmtree(out_dir)
-    # no incremental reader when the chunks carry the meta themselves —
-    # it would read (and hold) the whole artifact table a second time
-    want_reader = not cfg_kw.get("collect_artifact_meta", False)
-    reader = (_ArtifactReader(out_dir, _ART_COLS).start()
-              if want_reader else None)
+    reader = _ArtifactReader(out_dir, _ART_COLS).start()
     try:
-        crawler, out_dir = _run_crawl(sf_dir, out_dir, bulk_seed, **cfg_kw)
+        _run_crawl(sf_dir, out_dir, bulk_seed, **cfg_kw)
     except BaseException:
-        if reader is not None:
-            reader._stop.set()
+        reader._stop.set()
         raise
     import pyarrow as pa
 
-    meta = getattr(crawler, "_artifact_meta", None)
-    if meta:  # opt-in (collect_artifact_meta=True): columns rode the chunks
-        reader._stop.set()
-        t = pa.concat_tables(meta)
-    else:  # scale-safe default: the overlapped read of the partitioned output
-        if reader is None:
-            # meta was requested but the run produced none (e.g. a limit
-            # run falls back to wave mode): one-shot post-run scan
-            reader = _ArtifactReader(out_dir, _ART_COLS)
-            reader._stop.set()
-            reader._thread.start()
-        t = reader.finish()
-        if t is None:  # empty run: typed empty artifact table
-            t = pa.table({
-                "url": pa.array([], pa.string()),
-                "depth": pa.array([], pa.int32()),
-                "status": pa.array([], pa.string()),
-                "image_id": pa.array([], pa.string()),
-                "caption_ok": pa.array([], pa.bool_()),
-                "pixel_ok": pa.array([], pa.bool_()),
-                "psnr_db": pa.array([], pa.float64()),
-            })
+    t = reader.finish()
+    if t is None:  # empty run: typed empty artifact table
+        t = pa.table({
+            "url": pa.array([], pa.string()),
+            "depth": pa.array([], pa.int32()),
+            "status": pa.array([], pa.string()),
+            "image_id": pa.array([], pa.string()),
+            "caption_ok": pa.array([], pa.bool_()),
+            "pixel_ok": pa.array([], pa.bool_()),
+            "psnr_db": pa.array([], pa.float64()),
+        })
     df = t.to_pandas()
     return df.sort_values(["url", "status"], kind="mergesort").reset_index(drop=True)
 
@@ -480,9 +443,9 @@ def image_phash_neardup(sf_dir: str, max_hamming: int = 6) -> pd.DataFrame:
 def crawl_polite(sf_dir: str) -> pd.DataFrame:
     """Flagship crawl with per-host politeness token buckets engaged
     (north_rule politeness budget; over-cap URLs defer, never drop).
-    Uses the TIME-BASED token buckets, whose semantics are identical in
-    wave and streaming mode (round-2 VERDICT #6: the per-wave cap
-    silently weakened to a per-poll cap under streaming); generous
+    Uses the TIME-BASED token buckets rather than
+    ``max_per_host_per_wave``, which only caps each drain poll (round-2
+    VERDICT #6); generous
     rate/burst so the politeness machinery is exercised without making
     the query wall-time rate-bound. Returns the artifact table;
     rows-only check — pinned against the politeness unit tests +

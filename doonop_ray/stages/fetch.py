@@ -215,11 +215,10 @@ class Fetcher:
 # ---------------------------------------------------------------------------
 # Task-based variants with per-worker-process state caching.
 #
-# Ray worker processes persist across Datasets, so a module-level cache
+# Ray worker processes persist across tasks, so a module-level cache
 # keyed by the broadcast ObjectRef amortizes the index build across ALL
-# waves — unlike an actor pool created per wave, which pays actor startup
-# + index build every wave. The broadcast table itself is zero-copy from
-# the local object store.
+# chunks of a crawl (and across crawls on the same ref). The broadcast
+# table itself is zero-copy from the local object store.
 # ---------------------------------------------------------------------------
 
 _STATE_CACHE: dict = {}

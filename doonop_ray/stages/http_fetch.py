@@ -194,7 +194,7 @@ class HttpFetcher:
     ``batch_size x timeout``. Per-row status/data/links mapping is
     positional, so batch results are deterministic regardless of fetch
     completion order. Per-host politeness is enforced UPSTREAM at the
-    frontier drain (token buckets bound what a wave releases); within a
+    frontier drain (token buckets bound what a drain releases); within a
     released chunk the reference, too, fetches hosts concurrently when
     ``-j > 1`` (workload.rs:281-305).
 

@@ -14,9 +14,9 @@ Reference semantics re-expressed for sharded execution:
   never has to wait on the clock;
 - retry policy no/first/last branches as workload.rs:228-240;
 - robots consulted at dispatch time; disallowed or fetch-error hosts are
-  dropped silently without consuming wave budget and the URL stays in
+  dropped silently without consuming drain budget and the URL stays in
   the seen set (workload.rs:100-105);
-- politeness (rebuild-only): either a per-wave cap (``per_host_cap``)
+- politeness (rebuild-only): either a per-drain cap (``per_host_cap``)
   or true token buckets (``HostTokenBuckets``: ``rate`` tokens/sec per
   host refilling up to ``burst``); over-budget entries are deferred
   back to the heap, never dropped.

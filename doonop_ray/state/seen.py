@@ -15,7 +15,7 @@ Better Than Bloom", CoNEXT 2014):
   positive drops a URL exactly once; deletion-capable so retries could
   un-mark if ever needed).
 
-``check_and_add`` is batch-first: one actor round-trip per wave per
+``check_and_add`` is batch-first: one actor round-trip per batch per
 shard, not per URL.
 """
 
@@ -58,13 +58,25 @@ except ImportError:  # pragma: no cover - polars ships in this environment
 # polars documents ``Series.hash`` as unstable across versions, so the
 # polars version is part of the name.
 HASH_IMPL = (f"polars-ahash/{_pl.__version__}" if _pl is not None
-             else "fnv-poly64")
+             else "fnv-poly64-splitmix64")
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer (vectorized, wraps mod 2^64): spreads every
+    input bit over the low bits that ``% num_shards`` keeps."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 def _hash64_poly(arr) -> np.ndarray:
     """Fallback: 64-bit polynomial hash computed with numpy segmented
     ops over the Arrow offsets+data buffers (``h = sum(byte_i *
-    P^(len-1-i)) mod 2^64``). Only used when polars is absent."""
+    P^(len-1-i)) mod 2^64``), then the splitmix64 finalizer: modulo a
+    power of two the raw polynomial weights the bytes by powers of P
+    that cycle with a short period (mod 8, P = 3 and P^2 = 1), so
+    structured URL sets could pile onto a few shards. Only used when
+    polars is absent."""
     import pyarrow as pa
 
     n = len(arr)
@@ -90,7 +102,7 @@ def _hash64_poly(arr) -> np.ndarray:
     idx = np.minimum(offs[:-1] - start, total - 1)
     out = np.add.reduceat(terms, idx)
     out[lens == 0] = 0
-    return out
+    return _mix64(out)
 
 
 def hash64_batch(arr) -> np.ndarray:
@@ -135,7 +147,7 @@ def host_shard_of(url: str, num_shards: int) -> int:
     globally-correct bucket instead of N per-shard ones. The seen set
     keeps URL-hash sharding for balance; only the frontier is
     host-partitioned. Skewed hosts are bounded by the per-host
-    politeness/per-wave caps, not by shard placement."""
+    politeness/per-drain caps, not by shard placement."""
     import zlib
 
     from ..url import host_of

@@ -160,8 +160,8 @@ def test_cli_check_file_format_error(world_dir, tmp_path):
 
 
 def test_cli_streaming_sigkill_resume(tmp_path):
-    """The north_rule resumability claim, end to end: a streaming crawl
-    with periodic checkpoints is SIGKILLed mid-run (whole process group,
+    """The north_rule resumability claim, end to end: a crawl with
+    periodic checkpoints is SIGKILLed mid-run (whole process group,
     so the Ray session dies too), then resumed — final stats and the
     artifact URL set must equal a clean run's. Uses its own world dir
     and process group; never touches the shared test session."""
@@ -183,7 +183,7 @@ def test_cli_streaming_sigkill_resume(tmp_path):
         env.update(ENV)
         return subprocess.run(
             [sys.executable, "-m", "doonop_ray", "--world", str(d),
-             "--streaming", "--retry-threshold-ms", "0",
+             "--retry-threshold-ms", "0",
              "--num-cpus", "4", "-j", "4", *extra, *seeds],
             capture_output=True, text=True, timeout=timeout, env=env,
             cwd="/root/repo",
@@ -198,7 +198,7 @@ def test_cli_streaming_sigkill_resume(tmp_path):
     env.update(ENV)
     proc = subprocess.Popen(
         [sys.executable, "-m", "doonop_ray", "--world", str(d),
-         "--streaming", "--retry-threshold-ms", "0",
+         "--retry-threshold-ms", "0",
          "--num-cpus", "4", "-j", "4",
          "--out", str(tmp_path / "out_part"),
          "--checkpoint", str(tmp_path / "ckpt"),

@@ -4,6 +4,8 @@ reproduce the reference scheduler semantics exactly in single-lane mode
 sets/stats in scaled mode (reference N>1 interleave is nondeterministic,
 lib.rs:136-155)."""
 
+import os
+
 import pytest
 
 from doonop_ray.config import CrawlConfig
@@ -73,7 +75,6 @@ def test_scaled_mode_set_equality(ray_session, tmp_path, shards):
         engines=2,
         num_seen_shards=ns,
         num_frontier_shards=nf,
-        wave_budget=16,
         fetch_batch_size=8,
     )
     oracle = run_oracle(cfg, w.pages_by_url(), w.robots_map())
@@ -83,7 +84,7 @@ def test_scaled_mode_set_equality(ray_session, tmp_path, shards):
     assert stats.as_dict() == oracle.stats()
     assert crawler.seen_sets() == oracle.seen
 
-    # wave artifacts: visited set equality + per-row invariants
+    # artifacts: visited set equality + per-row invariants
     import pyarrow.parquet as pq
 
     t = pq.read_table(str(tmp_path / "out"))
@@ -94,36 +95,96 @@ def test_scaled_mode_set_equality(ray_session, tmp_path, shards):
             assert row["caption_ok"] and row["pixel_ok"]
 
 
+def _artifact_rows(out_dir) -> int:
+    import glob
+
+    import pyarrow.parquet as pq
+
+    return sum(pq.read_metadata(f).num_rows for f in
+               glob.glob(str(out_dir / "run=*" / "part-*.parquet")))
+
+
 def test_scaled_mode_with_politeness_and_limit(ray_session, tmp_path):
+    """Two frontier shards: each poll drains at least one URL per shard,
+    so a limit run may overshoot by one (the reference overshoots by its
+    in-flight count, workload.rs:127-131)."""
     w = build_world(WORLDS[1])
     cfg = _cfg(
         w,
         engines=2,
-        wave_budget=8,
-        max_per_host_per_wave=2,
+        num_frontier_shards=2,
         limit=10,
         fetch_batch_size=4,
     )
+    cfg.max_per_host_per_wave = 2
+    crawler = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
+                         str(tmp_path / "out"), world_seed=WORLDS[1].seed)
+    with pytest.warns(RuntimeWarning, match="PER-POLL cap"):
+        stats = crawler.run()
+    assert 10 <= stats.collected <= 11
+    assert _artifact_rows(tmp_path / "out") == stats.visited
+
+
+@pytest.mark.parametrize("limit", [0, 10])
+def test_scaled_limit_is_exact_with_one_frontier_shard(ray_session, tmp_path,
+                                                       limit):
+    """One frontier shard: a poll never drains more than the limit minus
+    the collected and in-flight rows, so the crawl collects exactly
+    max(limit, 1) — limit=0 collects one, the reference's quirk
+    (workload.rs:213-222)."""
+    w = build_world(WORLDS[1])
+    cfg = _cfg(w, engines=2, limit=limit, fetch_batch_size=4,
+               checkpoint_dir=str(tmp_path / "ckpt"))
     crawler = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
                          str(tmp_path / "out"), world_seed=WORLDS[1].seed)
     stats = crawler.run()
-    # limit semantics: dispatch stops at the first wave boundary at/after
-    # the limit; overshoot is bounded by one wave (reference overshoots by
-    # in-flight count, workload.rs:127-131)
-    assert 10 <= stats.collected <= 10 + cfg.wave_budget
+    assert stats.collected == max(limit, 1)
+    full = run_oracle(_cfg(w), w.pages_by_url(), w.robots_map())
+    assert stats.visited < full.stats()["visited"]
+    assert _artifact_rows(tmp_path / "out") == stats.visited
+    # the final checkpoint holds the exact counters of the stopped crawl
+    import json
+
+    with open(_newest_manifest(tmp_path / "ckpt", "stream=")) as fh:
+        assert json.load(fh)["stats"] == stats.as_dict()
+
+
+def _stop_after_first_part(crawler) -> None:
+    """Run ``crawler`` and request a graceful stop as soon as its first
+    chunk's part file is on disk."""
+    import glob
+    import threading
+
+    done = threading.Event()
+
+    def watch():
+        while not done.wait(0.005):
+            if glob.glob(os.path.join(crawler.out_dir, "run=*",
+                                      "part-*.parquet")):
+                crawler.request_stop()
+                return
+
+    th = threading.Thread(target=watch, daemon=True)
+    th.start()
+    try:
+        crawler.run()
+    finally:
+        done.set()
+        th.join()
 
 
 def test_scaled_resume_from_checkpoint(ray_session, tmp_path):
     w = build_world(WORLDS[1])
 
-    def mk(tag):
+    def mk(tag, rate=None):
         cfg = _cfg(
             w,
             use_robots=True,
             engines=2,
-            wave_budget=8,
             fetch_batch_size=4,
             checkpoint_dir=str(tmp_path / "ckpt"),
+            # throttle so the graceful stop lands mid-crawl
+            host_rate_per_sec=rate,
         )
         return RayCrawler(cfg, w.pages, w.images, w.robots_map(),
                           str(tmp_path / f"out_{tag}"), world_seed=WORLDS[1].seed)
@@ -137,28 +198,56 @@ def test_scaled_resume_from_checkpoint(ray_session, tmp_path):
 
     shutil.rmtree(tmp_path / "ckpt")
 
-    # partial run killed after 2 waves, then resumed
-    part = mk("part")
-    part.run(max_waves=2)
-    resumed = mk("part")  # same out dir: stale waves >= restore point are redone
+    # partial run stopped after its first part file, then resumed
+    part = mk("part", rate=10.0)
+    _stop_after_first_part(part)
+    assert 0 < part.stats.visited < golden_stats.visited
+    resumed = mk("part")  # same out dir: files past the cut are pruned
     stats = resumed.run(resume=True)
     assert stats.as_dict() == golden_stats.as_dict()
     assert resumed.seen_sets() == golden_seen
 
 
-def test_wave_metrics_lineage_written(ray_session, tmp_path):
-    import pyarrow.parquet as pq
+@pytest.mark.parametrize("kind", ["limit", "bulk", "organic"])
+def test_stream_metrics_schema(ray_session, tmp_path, kind):
+    """Every run mode appends the same ``_stream_metrics.jsonl`` row: the
+    crawl-loop timers, the summed in-task stage seconds, the seen
+    occupancy and the run's stats, equal to what ``run()`` returned."""
+    import json
+
+    import ray.data as rd
 
     w = build_world(WORLDS[0])
-    cfg = _cfg(w, engines=2, wave_budget=16, fetch_batch_size=8)
-    crawler = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
-                         str(tmp_path / "out"), world_seed=WORLDS[0].seed)
+    seeds_ds = None
+    kw = dict(engines=2, fetch_batch_size=8)
+    if kind == "limit":
+        kw["limit"] = 5
+    elif kind == "bulk":
+        kw.update(seeds=[], seeds_canonical=True)
+        seeds_ds = rd.from_arrow(w.pages.select(["url"]))
+    crawler = RayCrawler(_cfg(w, **kw), w.pages, w.images, w.robots_map(),
+                         str(tmp_path / "out"), world_seed=WORLDS[0].seed,
+                         seeds_ds=seeds_ds)
     stats = crawler.run()
-    m = pq.read_table(str(tmp_path / "out" / "_wave_metrics.parquet"))
-    assert {"wave", "visited", "collected", "timeouts", "errors",
-            "links_routed", "wall_sec", "wave_dir"} <= set(m.column_names)
-    assert sum(m.column("visited").to_pylist()) == stats.visited
-    assert sum(m.column("collected").to_pylist()) == stats.collected
+    with open(tmp_path / "out" / "_stream_metrics.jsonl") as fh:
+        rows = [json.loads(line) for line in fh]
+    assert len(rows) == 1
+    row = rows[0]
+    assert {"run_idx", "run_dir", "chunks", "loops", "drain_sec",
+            "wait_sec", "idle_sec", "stage_sec", "stats", "artifact_files",
+            "seen_count", "seen_stash"} <= set(row)
+    assert set(row["stage_sec"]) == {"table", "fetch", "validate",
+                                     "persist", "route"}
+    assert all(v >= 0 for v in row["stage_sec"].values())
+    assert row["stats"] == stats.as_dict()
+    assert row["chunks"] > 0
+    assert row["seen_stash"] == 0
+    assert _artifact_rows(tmp_path / "out") == stats.visited
+
+
+def test_streaming_false_is_refused():
+    with pytest.raises(ValueError, match="wave loop"):
+        CrawlConfig(streaming=False)
 
 
 def _failing_side_extractor(w):
@@ -202,10 +291,10 @@ def test_side_assert_failure_is_per_page_error_lane():
 
 def test_side_assert_failure_scaled_engine(ray_session, tmp_path):
     """Same per-page error lane through the scaled Ray engine: a batch
-    containing a failing page must not abort its map_batches task."""
+    containing a failing page must not abort its chunk task."""
     w = build_world(WORLDS[0])
     cfg = _cfg(w, extractor=_failing_side_extractor(w), engines=2,
-               wave_budget=16, fetch_batch_size=8)
+               fetch_batch_size=8)
     oracle = run_oracle(cfg, w.pages_by_url(), w.robots_map())
     crawler = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
                          str(tmp_path / "out"), world_seed=WORLDS[0].seed)
@@ -215,8 +304,8 @@ def test_side_assert_failure_scaled_engine(ray_session, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# streaming mode (round-2): one long-lived chunk-task loop, no per-wave
-# dataset startup — must preserve the wave loop's set/stats guarantees
+# the chunk-task loop under retries, periodic checkpoints, memory pressure
+# and politeness
 # ---------------------------------------------------------------------------
 
 
@@ -228,9 +317,7 @@ def test_streaming_matches_oracle_sets(ray_session, tmp_path):
         w,
         use_robots=True,
         retry_threshold_ms=5,
-        streaming=True,
         engines=4,
-        wave_budget=32,
         num_seen_shards=2,
         num_frontier_shards=2,
     )
@@ -257,9 +344,7 @@ def test_streaming_resume_from_checkpoint(ray_session, tmp_path):
         cfg = _cfg(
             w,
             use_robots=True,
-            streaming=True,
             engines=2,
-            wave_budget=8,
             num_frontier_shards=2,
             checkpoint_dir=str(tmp_path / "ckpt"),
             checkpoint_every_sec=0.05,
@@ -327,7 +412,7 @@ def test_streaming_survives_object_store_pressure(tmp_path):
                                     img_min=128, img_max=192))
         cfg = CrawlConfig(seeds=w.seeds.column("url").to_pylist(),
                           use_robots=True, retry_threshold_ms=0,
-                          streaming=True, engines=4, wave_budget=64,
+                          engines=4,
                           num_seen_shards=2, num_frontier_shards=2)
         oracle = run_oracle(cfg, w.pages_by_url(), w.robots_map())
         c = RayCrawler(cfg, w.pages, w.images, w.robots_map(), sys.argv[1])
@@ -355,11 +440,10 @@ def test_streaming_survives_object_store_pressure(tmp_path):
     assert res["spilled"], "object store never spilled — test not binding"
 
 def test_streaming_token_bucket_rate_matches_wave_mode(ray_session, tmp_path):
-    """VERDICT round-2 #6: time-based politeness must behave identically
-    in wave and streaming mode. Both modes crawl the same world under the
-    same (rate, burst); each must be rate-bound to at least
-    (pages_per_host - burst) / rate seconds, visit the same url set, and
-    never drop a page."""
+    """VERDICT round-2 #6: time-based politeness. Under (rate, burst)
+    token buckets the crawl must be rate-bound to at least
+    (pages_per_host - burst) / rate seconds, and still visit exactly the
+    oracle's url set with the oracle's stats (pacing never drops)."""
     import time as _time
 
     import pyarrow.parquet as pq
@@ -369,33 +453,28 @@ def test_streaming_token_bucket_rate_matches_wave_mode(ray_session, tmp_path):
     per_host = WORLDS[0].pages_per_host
     floor_sec = (per_host - burst) / rate
 
-    stats, elapsed = {}, {}
-    for mode, streaming in (("wave", False), ("stream", True)):
-        cfg = _cfg(w, use_robots=True, streaming=streaming, engines=2,
-                   wave_budget=32, num_frontier_shards=2,
-                   host_rate_per_sec=rate, host_burst=burst)
-        c = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
-                       str(tmp_path / f"out_{mode}"), world_seed=WORLDS[0].seed)
-        t0 = _time.monotonic()
-        stats[mode] = c.run().as_dict()
-        elapsed[mode] = _time.monotonic() - t0
+    cfg = _cfg(w, use_robots=True, engines=2, num_frontier_shards=2,
+               host_rate_per_sec=rate, host_burst=burst)
+    oracle = run_oracle(cfg, w.pages_by_url(), w.robots_map())
+    c = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
+                   str(tmp_path / "out"), world_seed=WORLDS[0].seed)
+    t0 = _time.monotonic()
+    stats = c.run().as_dict()
+    elapsed = _time.monotonic() - t0
 
-    assert stats["wave"] == stats["stream"]
-    u_wave = set(pq.read_table(str(tmp_path / "out_wave"),
-                               columns=["url"]).column("url").to_pylist())
-    u_stream = set(pq.read_table(str(tmp_path / "out_stream"),
-                                 columns=["url"]).column("url").to_pylist())
-    assert u_wave == u_stream
-    # both modes are bound by the same token-refill floor
-    assert elapsed["wave"] >= floor_sec * 0.9, elapsed
-    assert elapsed["stream"] >= floor_sec * 0.9, elapsed
+    assert stats == oracle.stats()
+    urls = set(pq.read_table(str(tmp_path / "out"),
+                             columns=["url"]).column("url").to_pylist())
+    assert urls == set(oracle.order)
+    assert elapsed >= floor_sec * 0.9, elapsed
 
 
 def test_streaming_warns_on_per_wave_cap(ray_session, tmp_path):
     import warnings
 
     w = build_world(WORLDS[0])
-    cfg = _cfg(w, streaming=True, engines=2, max_per_host_per_wave=4)
+    cfg = _cfg(w, engines=2)
+    cfg.max_per_host_per_wave = 4
     c = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
                    str(tmp_path / "out_capwarn"), world_seed=WORLDS[0].seed)
     with warnings.catch_warnings(record=True) as rec:
@@ -435,7 +514,7 @@ def test_filters_change_between_crawls_on_one_pages_ref(ray_session, tmp_path):
     allowlists = [None, ("h000.example.com", "h001.example.com"),
                   ("h002.example.com",), None]
     for i, allow in enumerate(allowlists):
-        cfg = _cfg(w, streaming=True, engines=2, allow_domains=allow)
+        cfg = _cfg(w, engines=2, allow_domains=allow)
         oracle = run_oracle(cfg, w.pages_by_url(), w.robots_map())
         crawler = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
                              str(tmp_path / f"out{i}"),
@@ -457,13 +536,12 @@ def _newest_manifest(ckpt_dir, prefix):
     {"num_frontier_shards": 1},
     {"hash_impl": None},  # legacy manifest: written before the key
 ])
-@pytest.mark.parametrize("streaming", [True, False])
 def test_resume_refuses_a_checkpoint_it_cannot_route(ray_session, tmp_path,
-                                                     tamper, streaming):
+                                                     tamper):
     import json
 
     w = build_world(WORLDS[0])
-    cfg = _cfg(w, streaming=streaming, engines=2, num_seen_shards=2,
+    cfg = _cfg(w, engines=2, num_seen_shards=2,
                num_frontier_shards=2, checkpoint_dir=str(tmp_path / "ckpt"))
 
     def mk():
@@ -471,8 +549,7 @@ def test_resume_refuses_a_checkpoint_it_cannot_route(ray_session, tmp_path,
                           str(tmp_path / "out"), world_seed=WORLDS[0].seed)
 
     stats = mk().run().as_dict()
-    path = _newest_manifest(tmp_path / "ckpt",
-                            "stream=" if streaming else "wave=")
+    path = _newest_manifest(tmp_path / "ckpt", "stream=")
     with open(path) as fh:
         manifest = json.load(fh)
     assert manifest["hash_impl"]

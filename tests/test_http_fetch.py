@@ -169,7 +169,7 @@ def test_http_fetch_loopback_conformance(www):
 
 
 def test_http_fetch_loopback_scaled(ray_session, www, tmp_path):
-    """The scaled engine (frontier/seen shards + wave pipeline) over the
+    """The scaled engine (frontier/seen shards + chunk tasks) over the
     real socket: same visited/collected set as conformance."""
     from doonop_ray.config import CrawlConfig
     from doonop_ray.pipelines.crawler import RayCrawler
@@ -178,8 +178,7 @@ def test_http_fetch_loopback_scaled(ray_session, www, tmp_path):
     seed = f"{base}/basic/deep.html"
     filters = FilterSpec((), None)
     cfg = CrawlConfig(seeds=[seed], use_robots=True, engines=2,
-                      num_seen_shards=2, num_frontier_shards=2,
-                      wave_budget=8)
+                      num_seen_shards=2, num_frontier_shards=2)
     from urllib.parse import urlsplit
 
     from doonop_ray.robots import make_http_robots_fetcher
@@ -342,7 +341,7 @@ def test_http_politeness_budget(ray_session, tmp_path):
                  f"http://127.0.0.1:{port}/pol/b0.html"]
         cfg = CrawlConfig(seeds=seeds, use_robots=False, engines=2,
                           num_seen_shards=2, num_frontier_shards=2,
-                          wave_budget=16, host_rate_per_sec=rate,
+                          host_rate_per_sec=rate,
                           host_burst=1.0)
         crawler = RayCrawler(
             cfg, None, None, {}, str(tmp_path / "out"),

@@ -1502,8 +1502,8 @@ def test_recrawl_check_flags_lost_artifacts(ray_session, monkeypatch):
 
     real = cr.RayCrawler.run
 
-    def sabotaged(self, max_waves=None, resume=False):
-        stats = real(self, max_waves=max_waves, resume=resume)
+    def sabotaged(self, resume=False):
+        stats = real(self, resume=resume)
         if resume:
             files = sorted(glob.glob(
                 os.path.join(self.out_dir, "**", "*.parquet"),

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from doonop_ray.state.seen import CuckooFilter, SeenCore, shard_of, url_hash64
 
@@ -34,7 +35,8 @@ def test_batch_hash_matches_scalar_shard_routing():
 
 def test_fallback_poly_hash_matches_pure_python_horner():
     """The no-polars fallback must equal the documented polynomial
-    (sum byte_i * P^(len-1-i) mod 2^64) so it is reproducible anywhere."""
+    (sum byte_i * P^(len-1-i) mod 2^64) followed by the splitmix64
+    finalizer, so it is reproducible anywhere."""
     import pyarrow as pa
 
     from doonop_ray.state.seen import _MASK64, _POLY, _hash64_poly
@@ -43,7 +45,9 @@ def test_fallback_poly_hash_matches_pure_python_horner():
         h = 0
         for b in s.encode("utf-8"):
             h = (h * _POLY + b) & _MASK64
-        return h
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return h ^ (h >> 31)
 
     urls = ["", "a", "https://h.example.com/p/1", "ünï/ß", "x" * 300]
     arr = pa.array(urls, pa.string())
@@ -52,11 +56,22 @@ def test_fallback_poly_hash_matches_pure_python_horner():
         horner(u) for u in urls[1:4]]
 
 
-def test_batch_hash_shard_balance():
+def _poly_shards(urls, n):
+    import pyarrow as pa
+
+    from doonop_ray.state.seen import _hash64_poly
+
+    return (_hash64_poly(pa.array(urls, pa.string()))
+            % np.uint64(n)).astype(np.int64)
+
+
+@pytest.mark.parametrize("impl", ["default", "fallback"])
+def test_batch_hash_shard_balance(impl):
     from doonop_ray.state.seen import shards_of_batch
 
+    shards = shards_of_batch if impl == "default" else _poly_shards
     urls = [f"https://h{i % 40}.example.com/p/{i}" for i in range(20_000)]
-    counts = np.bincount(shards_of_batch(urls, 8), minlength=8)
+    counts = np.bincount(shards(urls, 8), minlength=8)
     # a uniform split is 2500/shard; accept generous skew bounds
     assert counts.min() > 1500 and counts.max() < 3500
 

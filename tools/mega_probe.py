@@ -59,8 +59,7 @@ def main() -> None:
     step = 8192
     seeds_ds = rd.from_arrow(
         [url_tbl.slice(i, step) for i in range(0, len(url_tbl), step)])
-    cfg = _crawl_cfg(w, "scale", wave_budget=len(url_tbl) + 1024,
-                     seeds_canonical=True)
+    cfg = _crawl_cfg(w, "scale", seeds_canonical=True)
     out_dir = "/tmp/doonop_out/mega_probe"
     t0 = time.monotonic()
     crawler = RayCrawler(cfg, w.pages, w.images, w.robots_map(), out_dir,
