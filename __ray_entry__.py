@@ -4,8 +4,8 @@ The driver calls ``ray.init`` itself before importing this module:
 nothing here (or in doonop_ray) calls ray.init()/ray.shutdown().
 
 - ``entry()`` — flagship crawl pipeline (fetch → decode+validate →
-  link routing over frontier/seen shard actors) on the tiny synthetic
-  world tier mapped to sf0.001.
+  link routing to the host-partitioned frontier+seen shard actors) on
+  the tiny synthetic world tier mapped to sf0.001.
 - ``queries()`` — one callable per implemented operator/pipeline from
   SURVEY.md §2 plus the training-data-pipeline operator suite (dedup,
   text analysis, ANN, windows); each takes an sf_dir.

@@ -238,7 +238,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         restore = crawler.install_signal_checkpoint()
         try:
-            stats = crawler.run(resume=args.resume).as_dict()
+            with crawler:
+                stats = crawler.run(resume=args.resume).as_dict()
         finally:
             restore()
         if args.json:

@@ -1,7 +1,7 @@
 """Crawl configuration — the logical plan.
 
 Mirrors the reference's CrawlConfig (/root/reference/src/lib.rs:28-41)
-plus the scale knobs the Ray rebuild adds (shard counts, chunk size,
+plus the scale knobs the Ray rebuild adds (shard count, chunk size,
 politeness, checkpoints). Times are virtual-clock milliseconds so tests are
 deterministic (the reference uses wall-clock SystemTime,
 /root/reference/src/retry.rs:31-44).
@@ -27,8 +27,12 @@ class CrawlConfig:
     engines: int = 1                    # -j: fetch parallelism cap (cfg.rs:23,249)
 
     # rebuild-only scale knobs
-    num_seen_shards: int = 1
-    num_frontier_shards: int = 1
+    num_seen_shards: int | None = None  # no effect: each frontier shard
+                                        # holds its hosts' seen set; a
+                                        # value other than None or
+                                        # num_frontier_shards raises
+    num_frontier_shards: int = 1        # state actors: frontier + seen,
+                                        # partitioned by host
     max_per_host_per_wave: int | None = None  # per-drain-poll cap on URLs
                                               # released per host (not a
                                               # rate: see host_rate_per_sec)
@@ -39,8 +43,8 @@ class CrawlConfig:
     checkpoint_dir: str | None = None   # final (and periodic) checkpoints
     seen_mode: str = "exact"            # "exact" | "cuckoo" | "both"
     seen_capacity_per_shard: int | None = None
-                                        # cuckoo slots per seen shard.
-                                        # None → derived from
+                                        # cuckoo slots per shard's seen
+                                        # partition. None → derived from
                                         # expected_total_urls (1.3×
                                         # headroom split across shards)
                                         # when set, else 1<<18. Past
@@ -54,7 +58,8 @@ class CrawlConfig:
     expected_total_urls: int | None = None
                                         # frontier-budget hint (seed
                                         # count × expected expansion)
-                                        # used to size the seen shards
+                                        # used to size the seen
+                                        # partitions
     extractor: object | None = None     # M2/M3 analog: picklable
                                         # fn(page_rows: pa.Table) ->
                                         # pa.Array<string> overriding the
@@ -74,3 +79,9 @@ class CrawlConfig:
             raise ValueError(
                 "streaming=False asked for the wave loop, which was "
                 "removed; RayCrawler.run() is the chunk-task loop")
+        if self.num_seen_shards not in (None, self.num_frontier_shards):
+            raise ValueError(
+                f"num_seen_shards={self.num_seen_shards} differs from "
+                f"num_frontier_shards={self.num_frontier_shards}: the seen "
+                "set is partitioned with the frontier, one partition per "
+                "frontier shard")

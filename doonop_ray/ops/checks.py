@@ -1481,12 +1481,12 @@ def recrawl_violations(sf_dir: str) -> pd.DataFrame:
             return set()
         return set(ds.to_table(columns=["url"])["url"].to_pylist())
 
-    first = mk()
-    first_stats = first.run().as_dict()
+    with mk() as first:
+        first_stats = first.run().as_dict()
     first_set = visited(first.out_dir)
 
-    again = mk()
-    again_stats = again.run(resume=True).as_dict()
+    with mk() as again:
+        again_stats = again.run(resume=True).as_dict()
     again_set = visited(again.out_dir)
 
     bad_u: list[str] = []

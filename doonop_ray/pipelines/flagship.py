@@ -141,7 +141,6 @@ def _crawl_cfg(w: World, tier: str, **kw) -> CrawlConfig:
         retry_threshold_ms=0,
         engines=engines,
         fetch_batch_size=batch,
-        num_seen_shards=max(1, engines // 8),
         num_frontier_shards=max(1, engines // 8),
     )
     base.update(kw)
@@ -171,12 +170,12 @@ def _run_crawl(sf_dir: str, out_dir: str, bulk_seed: bool, **cfg_kw) -> None:
     from .crawler import RayCrawler
 
     pages_ref, images_ref = _refs_for(tier, w)
-    crawler = RayCrawler(cfg, w.pages, w.images, w.robots_map(), out_dir,
-                         world_seed=w.params.seed,
-                         img_bounds=(w.params.img_min, w.params.img_max),
-                         pages_ref=pages_ref, images_ref=images_ref,
-                         seeds_ds=seeds_ds)
-    crawler.run()
+    with RayCrawler(cfg, w.pages, w.images, w.robots_map(), out_dir,
+                    world_seed=w.params.seed,
+                    img_bounds=(w.params.img_min, w.params.img_max),
+                    pages_ref=pages_ref, images_ref=images_ref,
+                    seeds_ds=seeds_ds) as crawler:
+        crawler.run()
 
 
 _ART_COLS = ["url", "depth", "status", "image_id", "caption_ok",

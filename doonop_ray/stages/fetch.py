@@ -306,7 +306,11 @@ def identity_validate_fn(batch: pa.Table) -> pa.Table:
 
 def make_validate_fn(images_ref, world_seed: int, emit_bytes: bool = False,
                      img_min: int = 16, img_max: int = 40):
-    key = ("validate", getattr(images_ref, "hex", lambda: id(images_ref))())
+    # keyed on every input of the Validator, as ``_fetch_key`` is: a
+    # later crawl on the same images ref with another seed or bounds
+    # must not reuse the cached truth of the crawl before
+    key = ("validate", getattr(images_ref, "hex", lambda: id(images_ref))(),
+           world_seed, emit_bytes, img_min, img_max)
 
     def validate_fn(batch: pa.Table) -> pa.Table:
         v = _cached(

@@ -30,6 +30,7 @@ SOCKS4 raises loudly at session build.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from html.parser import HTMLParser
 
@@ -309,6 +310,8 @@ class HttpFetcher:
                 self._pool = ThreadPoolExecutor(
                     max_workers=self.max_concurrency,
                     thread_name_prefix="doonop-fetch")
+                # the pool's threads end with the fetcher
+                weakref.finalize(self, self._pool.shutdown, wait=False)
             results = list(self._pool.map(self._fetch_one, urls))
         else:
             results = [self._fetch_one(u) for u in urls]

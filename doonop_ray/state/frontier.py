@@ -23,6 +23,10 @@ Reference semantics re-expressed for sharded execution:
 
 Pure Python and fully unit-testable; wrapped in a Ray actor by the
 crawler (decorated at use site so importing this module needs no Ray).
+``FrontierShard`` also holds its hosts' partition of the URL-seen set
+(``state/seen.py``), so discovered links are deduped and pushed in one
+process; this module stays light (no polars, no crawler import) because
+it is what every shard's actor process imports.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import pickle
 
 from ..robots import RobotsCache, make_table_fetcher
 from ..url import host_of, path_of
+from .seen import SeenCore
 
 
 class HostTokenBuckets:
@@ -238,10 +243,13 @@ class FrontierCore:
 
 
 class FrontierShard:
-    """Actor-ready wrapper holding a FrontierCore plus this shard's robots
-    cache (per-shard cache of the broadcast fixture map; at web scale this
-    becomes a host-sharded robots actor pool — the cache interface is the
-    same)."""
+    """Actor-ready state of one shard: a FrontierCore, the seen-set
+    partition of the same hosts (a SeenCore; see ``host_shard_of``) and
+    this shard's robots cache (per-shard cache of the broadcast fixture
+    map; at web scale this becomes a host-sharded robots actor pool —
+    the cache interface is the same). ``n_ingested`` and
+    ``n_retry_received`` count what the link router sent, so the crawl
+    loop can settle a crawl with one ``progress`` call per shard."""
 
     def __init__(
         self,
@@ -255,13 +263,17 @@ class FrontierShard:
         use_robots: bool,
         host_rate_per_sec: float | None = None,
         host_burst: float = 4.0,
+        seen_mode: str = "exact",
+        seen_capacity: int = 1 << 18,
     ):
         self.core = FrontierCore(
             retry_policy, retry_threshold_ms, retry_count, key_mode, shard_id
         )
         if host_rate_per_sec is not None:
             self.core.set_politeness(host_rate_per_sec, host_burst)
+        self.seen = SeenCore(seen_mode, seen_capacity, shard_id)
         self.robot = robot
+        self.n_ingested = 0
         self.n_retry_received = 0
         if not use_robots:
             self.robots = None
@@ -279,6 +291,22 @@ class FrontierShard:
     def push(self, items: list[tuple[str, int]]) -> int:
         return self.core.push(items)
 
+    def _push_fresh(self, urls: list[str], depths) -> int:
+        """Push the urls not seen before, in list order (first discovery
+        wins, workload.rs:202-211); returns how many were fresh."""
+        mask = self.seen.check_and_add(urls)
+        return self.push([(u, d) for u, d, new in zip(urls, depths, mask)
+                          if new])
+
+    def seed(self, urls: list[str]) -> int:
+        return self._push_fresh(urls, [0] * len(urls))
+
+    def ingest(self, urls: list[str], depths: list[int]) -> None:
+        """Discovered links (parallel arrays, one message per shard per
+        chunk)."""
+        self.n_ingested += len(urls)
+        self._push_fresh(urls, depths)
+
     def keep_retry_batch(self, items, now_ms: float) -> int:
         """items: [(url, depth)] or [(url, depth, attempt)] — returns how
         many were re-queued (rest gave up or were duplicates)."""
@@ -290,24 +318,26 @@ class FrontierShard:
             kept += bool(self.core.keep_retry(url, depth, now_ms, attempt))
         return kept
 
-    def retry_received(self) -> int:
-        return self.n_retry_received
+    def progress(self) -> tuple[int, int, bool]:
+        """(links ingested, timeouts received, frontier empty)."""
+        return self.n_ingested, self.n_retry_received, self.core.is_empty()
 
     def drain(self, budget: int, now_ms: float, per_host_cap: int | None):
         cap = max(1, per_host_cap) if per_host_cap is not None else None
         return self.core.drain(budget, now_ms, cap, self.robots, self.robot)
 
-    def is_empty(self) -> bool:
-        return self.core.is_empty()
+    def occupancy(self) -> dict[str, int]:
+        return self.seen.occupancy()
 
-    def size(self) -> dict[str, int]:
-        return self.core.size()
-
-    def robots_dropped(self) -> int:
-        return self.core.robots_dropped
+    def seen_urls(self) -> set[str]:
+        """The exact seen partition (empty in ``cuckoo`` mode)."""
+        return self.seen.exact
 
     def snapshot(self) -> bytes:
-        return self.core.snapshot()
+        return pickle.dumps((self.core.snapshot(), self.seen.snapshot()),
+                            protocol=pickle.HIGHEST_PROTOCOL)
 
     def restore(self, blob: bytes) -> None:
-        self.core.restore(blob)
+        frontier, seen = pickle.loads(blob)
+        self.core.restore(frontier)
+        self.seen.restore(seen)

@@ -1,11 +1,14 @@
-"""URL-seen set: cuckoo filter + exact set, sharded across actors.
+"""URL-seen set: cuckoo filter + exact set, one partition per frontier
+shard.
 
-Reference: a single driver-held ``HashSet<Url>`` with insert-at-discovery
-semantics (/root/reference/src/workload.rs:28,202-211). The rebuild
-shards by ``hash(canonical_url) % num_shards`` so membership checks are
-a hash-partitioned anti-join instead of a driver bottleneck, and bounds
-memory with a cuckoo filter (Fan et al., "Cuckoo Filter: Practically
-Better Than Bloom", CoNEXT 2014):
+Reference: a single ``HashSet<Url>`` beside the URL pool, held by the
+crawl loop, with insert-at-discovery semantics (the reference's
+src/workload.rs:28,202-211). The rebuild keeps that pairing per shard:
+the seen set is partitioned by the same host hash as the frontier
+(``host_shard_of``), and each ``FrontierShard`` actor holds its
+partition as a ``SeenCore``, so a discovered link's membership check
+and its push happen in one process. Memory is bounded with a cuckoo filter (Fan et al., "Cuckoo
+Filter: Practically Better Than Bloom", CoNEXT 2014):
 
 - ``exact`` mode (default): python set is the authority — bit-exact
   conformance with the reference's seen set; the cuckoo filter is kept
@@ -29,13 +32,19 @@ _FP_BITS = 16
 _BUCKET = 4
 _MAX_KICKS = 500
 
+# the shard partition a crawl checkpoint was written under; a resume
+# refuses a manifest that names another one (e.g. the URL-hash
+# "polars-ahash/<version>" partition of earlier checkpoints). crc32 of
+# the host is the same in every environment, so no library version is
+# part of the name.
+HASH_IMPL = "host-crc32"
+
 
 def url_hash64(url: str) -> int:
     """Stable 64-bit hash of a canonical URL (blake2b; no PYTHONHASHSEED).
 
     Used by the cuckoo filter (needs 64 fingerprint+index bits); shard
-    routing uses the vectorizable polynomial hash (``shard_of`` /
-    ``shards_of_batch``)."""
+    routing hashes the host (``host_shard_of``)."""
     import hashlib
 
     return int.from_bytes(
@@ -44,115 +53,51 @@ def url_hash64(url: str) -> int:
     )
 
 
-_POLY = 0x100000001B3  # FNV-1a 64-bit prime (odd ⇒ full-period mod 2^64)
-_MASK64 = (1 << 64) - 1
-
-try:  # Rust-vectorized string hash (20-40x the crc32-genexp it replaced)
-    import polars as _pl
-except ImportError:  # pragma: no cover - polars ships in this environment
-    _pl = None
-
-# which batch-hash implementation this process routes with; recorded in
-# crawl checkpoints so a resume under a different environment fails
-# loudly instead of silently routing URLs to the wrong seen shard.
-# polars documents ``Series.hash`` as unstable across versions, so the
-# polars version is part of the name.
-HASH_IMPL = (f"polars-ahash/{_pl.__version__}" if _pl is not None
-             else "fnv-poly64-splitmix64")
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (vectorized, wraps mod 2^64): spreads every
-    input bit over the low bits that ``% num_shards`` keeps."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def _hash64_poly(arr) -> np.ndarray:
-    """Fallback: 64-bit polynomial hash computed with numpy segmented
-    ops over the Arrow offsets+data buffers (``h = sum(byte_i *
-    P^(len-1-i)) mod 2^64``), then the splitmix64 finalizer: modulo a
-    power of two the raw polynomial weights the bytes by powers of P
-    that cycle with a short period (mod 8, P = 3 and P^2 = 1), so
-    structured URL sets could pile onto a few shards. Only used when
-    polars is absent."""
-    import pyarrow as pa
-
-    n = len(arr)
-    off_dtype = np.int64 if pa.types.is_large_string(arr.type) else np.int32
-    buf_off = np.frombuffer(arr.buffers()[1], dtype=off_dtype)
-    offs = buf_off[arr.offset: arr.offset + n + 1].astype(np.int64)
-    start, end = int(offs[0]), int(offs[-1])
-    data = np.frombuffer(arr.buffers()[2], dtype=np.uint8)[start:end]
-    lens = np.diff(offs)
-    total = end - start
-    if total == 0:
-        return np.zeros(n, dtype=np.uint64)
-    maxlen = int(lens.max())
-    pows = np.full(maxlen, np.uint64(_POLY))
-    pows[0] = 1
-    np.cumprod(pows, out=pows)  # uint64 overflow wraps mod 2^64 — wanted
-    seg_end = np.repeat(offs[1:] - start, lens)
-    pos_from_end = seg_end - 1 - np.arange(total, dtype=np.int64)
-    terms = data.astype(np.uint64) * pows[pos_from_end]
-    # reduceat quirks: an empty segment returns terms[idx] instead of 0,
-    # and a trailing empty segment would index past the end — clip then
-    # zero the empties explicitly
-    idx = np.minimum(offs[:-1] - start, total - 1)
-    out = np.add.reduceat(terms, idx)
-    out[lens == 0] = 0
-    return _mix64(out)
-
-
-def hash64_batch(arr) -> np.ndarray:
-    """Vectorized 64-bit hash of a UTF-8 string column — the seen-shard
-    routing hash (router hot path: no ``to_pylist``, no per-string
-    Python). Accepts ``pa.Array``/``ChunkedArray`` of string or
-    large_string, or a plain list of str.
-
-    Deterministic across processes within one environment (polars'
-    ahash uses fixed seeds; the numpy fallback is a fixed polynomial),
-    but NOT across environments that disagree on ``HASH_IMPL`` — the
-    checkpoint manifest pins it for resume safety."""
-    import pyarrow as pa
-
-    if isinstance(arr, (list, tuple)):
-        arr = pa.array(arr, pa.string())
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    if len(arr) == 0:
-        return np.zeros(0, dtype=np.uint64)
-    if _pl is not None:
-        return _pl.from_arrow(arr).hash(seed=0).to_numpy()
-    return _hash64_poly(arr)
-
-
-def shards_of_batch(arr, num_shards: int) -> np.ndarray:
-    """Batch seen-shard routing (the router's hot path)."""
-    return (hash64_batch(arr) % np.uint64(num_shards)).astype(np.int64)
-
-
-def shard_of(url: str, num_shards: int) -> int:
-    """Scalar twin of ``shards_of_batch`` — delegates to the batch path
-    so the two can never diverge. Only for low-volume call sites."""
-    return int(shards_of_batch([url], num_shards)[0])
-
-
 def host_shard_of(url: str, num_shards: int) -> int:
-    """Frontier routing by HOST hash: every URL of a host lands on one
-    frontier shard, so (a) that host's robots.txt compiles exactly once
+    """Shard of a URL, by HOST hash: every URL of a host lands on one
+    shard, so (a) that host's robots.txt compiles exactly once
     cluster-wide (reference parity: robots.rs:5-12 caches per (domain,
-    robot)) and (b) the per-host politeness token bucket is a single
-    globally-correct bucket instead of N per-shard ones. The seen set
-    keeps URL-hash sharding for balance; only the frontier is
-    host-partitioned. Skewed hosts are bounded by the per-host
-    politeness/per-drain caps, not by shard placement."""
+    robot)), (b) the per-host politeness token bucket is a single
+    globally-correct bucket instead of N per-shard ones, and (c) the
+    host's seen-set partition lives beside its frontier, so a link is
+    checked and pushed in one process. Skewed hosts are bounded by the
+    per-host politeness/per-drain caps, not by shard placement."""
     import zlib
 
     from ..url import host_of
 
     return zlib.crc32(host_of(url).encode("utf-8", "surrogatepass")) % num_shards
+
+
+# ``scheme://authority``: ``urlsplit`` reads the host from the text
+# between the first ``//`` and the next ``/``, ``?`` or ``#``, so this
+# prefix has the same host as the whole URL. A string without that shape
+# does not match and is routed whole.
+_ORIGIN_RE = r"^(?P<origin>[^/?#]*//[^/?#]*)"
+
+
+def host_shards_of_batch(urls, num_shards: int) -> np.ndarray:
+    """Batch twin of ``host_shard_of`` (the link router's hot path): an
+    Arrow kernel cuts each URL to its origin, the origins are
+    dictionary-encoded, and ``host_shard_of`` runs once per distinct
+    origin, so the batch and scalar routing cannot diverge. Accepts a
+    ``pa.Array``/``ChunkedArray`` of strings or a list of str."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(urls, (list, tuple)):
+        urls = pa.array(urls, pa.string())
+    elif isinstance(urls, pa.ChunkedArray):
+        urls = urls.combine_chunks()
+    n = len(urls)
+    if num_shards == 1 or n == 0:
+        return np.zeros(n, dtype=np.int64)
+    origin = pc.struct_field(pc.extract_regex(urls, _ORIGIN_RE), [0])
+    enc = pc.dictionary_encode(pc.coalesce(origin, urls))
+    per_origin = np.fromiter(
+        (host_shard_of(o, num_shards) for o in enc.dictionary.to_pylist()),
+        dtype=np.int64, count=len(enc.dictionary))
+    return per_origin[enc.indices.to_numpy(zero_copy_only=False)]
 
 
 class CuckooFilter:
@@ -291,11 +236,3 @@ class SeenCore:
         self.filter.n_buckets = int(st["table"].shape[0])
         self.filter.overflow = st["overflow"]
         self.filter.count = st["count"]
-
-
-class SeenShard(SeenCore):
-    """Ray-actor-ready shard: decorate at use site with @ray.remote so the
-    module stays importable without a Ray session."""
-
-    def urls(self) -> list[str]:
-        return sorted(self.exact)

@@ -65,22 +65,27 @@ def test_conformance_deep_retry_world():
     assert engine["stats"] == oracle.stats()
 
 
-@pytest.mark.parametrize("shards", [(1, 1), (2, 3)])
+def _live_actors() -> dict[str, str]:
+    """actor id -> class name of every live actor in the session."""
+    from ray._private import state
+
+    return {aid: a["ActorClassName"] for aid, a in state.actors().items()
+            if a["State"] == "ALIVE"}
+
+
+@pytest.mark.parametrize("shards", [dict(num_frontier_shards=1),
+                                    dict(num_frontier_shards=3)])
 def test_scaled_mode_set_equality(ray_session, tmp_path, shards):
-    ns, nf = shards
     w = build_world(WORLDS[1])
-    cfg = _cfg(
-        w,
-        use_robots=True,
-        engines=2,
-        num_seen_shards=ns,
-        num_frontier_shards=nf,
-        fetch_batch_size=8,
-    )
+    cfg = _cfg(w, use_robots=True, engines=2, fetch_batch_size=8, **shards)
     oracle = run_oracle(cfg, w.pages_by_url(), w.robots_map())
     crawler = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
                          str(tmp_path / "out"), world_seed=WORLDS[1].seed)
+    before = _live_actors()
     stats = crawler.run()
+    # one state actor per shard: the frontier shard holds the seen set
+    spawned = [c for aid, c in _live_actors().items() if aid not in before]
+    assert spawned == ["FrontierShard"] * cfg.num_frontier_shards
     assert stats.as_dict() == oracle.stats()
     assert crawler.seen_sets() == oracle.seen
 
@@ -234,8 +239,9 @@ def test_stream_metrics_schema(ray_session, tmp_path, kind):
     assert len(rows) == 1
     row = rows[0]
     assert {"run_idx", "run_dir", "chunks", "loops", "drain_sec",
-            "wait_sec", "idle_sec", "stage_sec", "stats", "artifact_files",
-            "seen_count", "seen_stash"} <= set(row)
+            "wait_sec", "idle_sec", "seed_sec", "settle_sec", "stage_sec",
+            "stats", "artifact_files", "seen_count", "seen_stash"} <= set(row)
+    assert 0 <= row["seed_sec"] and 0 <= row["settle_sec"]
     assert set(row["stage_sec"]) == {"table", "fetch", "validate",
                                      "persist", "route"}
     assert all(v >= 0 for v in row["stage_sec"].values())
@@ -248,6 +254,45 @@ def test_stream_metrics_schema(ray_session, tmp_path, kind):
 def test_streaming_false_is_refused():
     with pytest.raises(ValueError, match="wave loop"):
         CrawlConfig(streaming=False)
+
+
+def test_seen_shard_count_other_than_frontier_is_refused():
+    with pytest.raises(ValueError, match="num_seen_shards"):
+        CrawlConfig(num_seen_shards=3, num_frontier_shards=2)
+    assert CrawlConfig(num_seen_shards=2, num_frontier_shards=2)
+
+
+def test_close_leaves_no_shard_actor(ray_session, tmp_path):
+    """Sequential crawls in one session, each closed (directly or as a
+    context manager): every shard actor they spawned is dead afterwards
+    and the live-actor count is back where it started."""
+    import time as _time
+
+    from ray._private import state
+
+    w = build_world(WORLDS[0])
+    base = _live_actors()
+    spawned = []
+    for i in range(3):
+        c = RayCrawler(_cfg(w, engines=2, num_frontier_shards=2),
+                       w.pages, w.images, w.robots_map(),
+                       str(tmp_path / f"out{i}"), world_seed=WORLDS[0].seed)
+        with c:
+            c.run()
+            spawned += [f._actor_id.hex() for f in c.frontier]
+        assert c.frontier == [] and c.seen == []
+        c.close()  # idempotent
+    assert len(spawned) == 6
+    deadline = _time.monotonic() + 30
+    while (set(spawned) & set(_live_actors())
+           and _time.monotonic() < deadline):
+        _time.sleep(0.1)
+    assert all(state.actors(a)["State"] == "DEAD" for a in spawned)
+
+    def n_shards(actors):
+        return list(actors.values()).count("FrontierShard")
+
+    assert n_shards(_live_actors()) <= n_shards(base)
 
 
 def _failing_side_extractor(w):
@@ -531,8 +576,10 @@ def _newest_manifest(ckpt_dir, prefix):
 
 
 @pytest.mark.parametrize("tamper", [
-    {"hash_impl": "polars-ahash/0.0.1"},
-    {"num_seen_shards": 3},
+    # URL-hash partitions of earlier checkpoints: the numpy fallback and
+    # polars' ahash (any version)
+    {"hash_impl": "fnv-poly64-splitmix64"},
+    {"hash_impl": "polars-ahash/1.42.1"},
     {"num_frontier_shards": 1},
     {"hash_impl": None},  # legacy manifest: written before the key
 ])

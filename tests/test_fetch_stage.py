@@ -11,7 +11,8 @@ import pytest
 
 from doonop_ray.filters import FilterSpec
 from doonop_ray.pipelines.crawler import chunk_signature, make_persist_fn
-from doonop_ray.stages.fetch import Fetcher, _fetch_key
+from doonop_ray.stages.fetch import (Fetcher, Validator, _fetch_key,
+                                     make_validate_fn, prep_images_table)
 from doonop_ray.synth import WorldParams, build_world
 from doonop_ray.url import make_absolute
 
@@ -79,6 +80,25 @@ def test_fetch_cache_key_tracks_filters_and_extractor():
 
 def _fetched(urls, attempt=0):
     return Fetcher(WORLD.pages, FilterSpec())(_batch(urls, attempt))
+
+
+def test_validate_fn_cache_is_keyed_on_every_validator_input():
+    """Validate fns built on one images table (one cache slot per worker)
+    with another seed, image bounds or ``emit_bytes`` must each validate
+    like a fresh Validator, not reuse the cached one of the fn before."""
+    urls = WORLD.pages.column("url").to_pylist()
+    batch = Fetcher(WORLD.pages, FilterSpec())(_batch(urls))
+    images = prep_images_table(WORLD.images)
+    seed = WORLD.params.seed
+    for world_seed, lo, hi, emit in [(seed, 16, 40, False),
+                                     (seed + 1, 16, 40, False),
+                                     (seed, 20, 30, False),
+                                     (seed, 16, 40, True)]:
+        got = make_validate_fn(images, world_seed, emit, lo, hi)(batch)
+        want = Validator(images, world_seed, emit, img_min=lo,
+                         img_max=hi)(batch)
+        assert got.to_pandas().equals(want.to_pandas()), (world_seed, lo,
+                                                          hi, emit)
 
 
 def test_persist_name_is_deterministic_per_chunk(tmp_path):

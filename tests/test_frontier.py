@@ -1,5 +1,5 @@
 from doonop_ray.robots import RobotsCache, make_table_fetcher
-from doonop_ray.state.frontier import FrontierCore
+from doonop_ray.state.frontier import FrontierCore, FrontierShard
 
 
 def _core(**kw):
@@ -170,3 +170,23 @@ def test_token_bucket_independent_hosts():
             ("https://a.com/2", 0), ("https://b.com/2", 0)])
     w1 = {u for u, _, _ in f.drain(10, 0)}
     assert len(w1) == 2 and len({u.split("/")[2] for u in w1}) == 2
+
+
+def test_frontier_shard_owns_its_seen_partition():
+    """Seeding and ingest dedup against the shard's own seen set, and a
+    snapshot carries both the frontier and the seen set."""
+
+    def shard():
+        return FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False)
+
+    s = shard()
+    assert s.seed(["u1", "u2", "u1"]) == 2
+    s.ingest(["u2", "u3"], [1, 1])
+    assert s.progress() == (2, 0, False)
+    t = shard()
+    t.restore(s.snapshot())
+    t.ingest(["u3", "u4"], [2, 2])  # u3 is in the restored seen set
+    assert t.seen_urls() == {"u1", "u2", "u3", "u4"}
+    assert t.drain(10, 0.0, None) == [("u4", 0, 2), ("u3", 0, 1),
+                                      ("u2", 0, 0), ("u1", 0, 0)]
+    assert t.progress() == (2, 0, True)

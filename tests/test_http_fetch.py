@@ -102,6 +102,31 @@ def test_used_http_fetcher_round_trips_through_cloudpickle(www):
         first.column("links").to_pylist()
 
 
+def test_collected_http_fetcher_shuts_its_pool_down(www):
+    """The fetcher's thread pool ends with the fetcher, even while
+    something else still holds the pool."""
+    import gc
+
+    import pyarrow as pa
+
+    base, _ = www
+    f = HttpFetcher(FilterSpec((), None))
+    f(pa.table({
+        "url": [f"{base}/basic/index.html", f"{base}/basic/about.html"],
+        "attempt": pa.array([0, 0], pa.int32()),
+        "depth": pa.array([0, 0], pa.int32()),
+    }))
+    pool = f._pool
+    threads = list(pool._threads)
+    assert threads
+    del f
+    gc.collect()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert pool._shutdown
+
+
 def test_http_fetcher_redirect_base(www):
     """Relative hrefs absolutize against the POST-redirect URL — a
     browser resolves against the final location. GET /basic/sub is a

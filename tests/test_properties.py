@@ -123,6 +123,38 @@ def test_make_absolute_batch_equals_scalar(pages):
         make_absolute(b, h) for b, hs in pages for h in hs]
 
 
+# link routing: the batch router must send every URL to the shard the
+# scalar host_shard_of names, whatever its authority looks like
+_route_scheme = st.sampled_from(["http://", "https://", "HTTP://", "Https://",
+                                 "ftp://", "//", "http:/", "http:", "", "1a://"])
+_route_userinfo = st.sampled_from(["", "u@", "u:p@", "U:P@", "a@b@", ":@", "@"])
+_route_host = st.sampled_from([
+    "h.example.com", "H.Example.COM", "H2.example.com", "1.2.3.4", "a",
+    "[::1]", "[2001:DB8::1]", "[::1", "::1]", "é.com", "h.", "", "x\ty",
+    "x\ny", "ß.DE",
+])
+_route_port = st.sampled_from(["", ":80", ":443", ":8080", ":0", ":99999",
+                               ":x", ":"])
+_route_rest = st.lists(st.sampled_from([
+    "/", "/p", "?q=1", "#f", "//x", "/A/b", ":", "@", "\t", " ", "é", "[",
+    "]",
+]), max_size=4).map("".join)
+
+
+@given(st.lists(st.one_of(
+    st.builds(lambda *parts: "".join(parts), _route_scheme, _route_userinfo,
+              _route_host, _route_port, _route_rest),
+    st.text(max_size=24),
+), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_batch_host_routing_equals_scalar(urls):
+    from doonop_ray.state.seen import host_shard_of, host_shards_of_batch
+
+    for n in (1, 2, 3, 8):
+        assert host_shards_of_batch(urls, n).tolist() == [
+            host_shard_of(u, n) for u in urls]
+
+
 # ---------------------------------------------------------------------------
 # high-cardinality grouping primitives vs pandas ground truth
 # ---------------------------------------------------------------------------

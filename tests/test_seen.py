@@ -1,79 +1,39 @@
 import numpy as np
-import pytest
 
-from doonop_ray.state.seen import CuckooFilter, SeenCore, shard_of, url_hash64
+from doonop_ray.state.seen import CuckooFilter, SeenCore, host_shard_of, url_hash64
 
 
 def test_url_hash_stable_across_runs():
-    # FNV-1a, not hash() — must not depend on PYTHONHASHSEED
+    # blake2b / crc32, not hash() — must not depend on PYTHONHASHSEED
     assert url_hash64("https://a.com/") == url_hash64("https://a.com/")
     assert url_hash64("https://a.com/") != url_hash64("https://a.com/x")
-    assert url_hash64("https://example.net/") == 0x5BBF7DA546A2BD17 or True  # stability smoke
-    assert 0 <= shard_of("https://a.com/", 8) < 8
+    assert 0 <= host_shard_of("https://a.com/", 8) < 8
+    assert host_shard_of("https://a.com/x", 8) == host_shard_of(
+        "https://a.com/y?q", 8)
 
 
 def test_batch_hash_matches_scalar_shard_routing():
-    """Every input form of the routing hash must agree — a divergence
-    would route the same URL to two seen shards and crawl it twice."""
+    """Every input form of the batch routing must agree with the scalar
+    ``host_shard_of`` — a divergence would send a URL's membership check
+    to a shard other than the one its host's seen partition lives on."""
     import pyarrow as pa
 
-    from doonop_ray.state.seen import hash64_batch, shards_of_batch
+    from doonop_ray.state.seen import host_shards_of_batch
 
     urls = (
         [f"https://h{i % 13}.example.com/p/{i}?q={i * 7}" for i in range(500)]
-        + ["", "a", "https://ünï.example.com/päth/ß", "x" * 300]
+        + ["", "a", "https://ünï.example.com/päth/ß", "x" * 300,
+           "http://h.example.com", "//h3.example.com/p"]
     )
-    batch = hash64_batch(urls)
-    # same answers through Arrow string, large_string, and a sliced view
+    scalar = [host_shard_of(u, 7) for u in urls]
     arr = pa.array(urls, pa.string())
-    assert hash64_batch(arr).tolist() == batch.tolist()
-    assert hash64_batch(arr.cast(pa.large_string())).tolist() == batch.tolist()
-    assert hash64_batch(arr.slice(3, 100)).tolist() == batch[3:103].tolist()
-    assert (shards_of_batch(arr, 7)
-            == np.asarray([shard_of(u, 7) for u in urls])).all()
-
-
-def test_fallback_poly_hash_matches_pure_python_horner():
-    """The no-polars fallback must equal the documented polynomial
-    (sum byte_i * P^(len-1-i) mod 2^64) followed by the splitmix64
-    finalizer, so it is reproducible anywhere."""
-    import pyarrow as pa
-
-    from doonop_ray.state.seen import _MASK64, _POLY, _hash64_poly
-
-    def horner(s: str) -> int:
-        h = 0
-        for b in s.encode("utf-8"):
-            h = (h * _POLY + b) & _MASK64
-        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return h ^ (h >> 31)
-
-    urls = ["", "a", "https://h.example.com/p/1", "ünï/ß", "x" * 300]
-    arr = pa.array(urls, pa.string())
-    assert _hash64_poly(arr).tolist() == [horner(u) for u in urls]
-    assert _hash64_poly(arr.slice(1, 3)).tolist() == [
-        horner(u) for u in urls[1:4]]
-
-
-def _poly_shards(urls, n):
-    import pyarrow as pa
-
-    from doonop_ray.state.seen import _hash64_poly
-
-    return (_hash64_poly(pa.array(urls, pa.string()))
-            % np.uint64(n)).astype(np.int64)
-
-
-@pytest.mark.parametrize("impl", ["default", "fallback"])
-def test_batch_hash_shard_balance(impl):
-    from doonop_ray.state.seen import shards_of_batch
-
-    shards = shards_of_batch if impl == "default" else _poly_shards
-    urls = [f"https://h{i % 40}.example.com/p/{i}" for i in range(20_000)]
-    counts = np.bincount(shards(urls, 8), minlength=8)
-    # a uniform split is 2500/shard; accept generous skew bounds
-    assert counts.min() > 1500 and counts.max() < 3500
+    assert host_shards_of_batch(urls, 7).tolist() == scalar
+    assert host_shards_of_batch(arr, 7).tolist() == scalar
+    assert host_shards_of_batch(
+        arr.cast(pa.large_string()), 7).tolist() == scalar
+    assert host_shards_of_batch(arr.slice(3, 100), 7).tolist() == scalar[3:103]
+    assert host_shards_of_batch(
+        pa.chunked_array([arr.slice(0, 9), arr.slice(9)]), 7).tolist() == scalar
 
 
 def test_cuckoo_membership_no_false_negatives():

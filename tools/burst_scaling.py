@@ -73,8 +73,6 @@ def child_main(ncpu: int, world: str) -> None:
     flagship_crawl("sf0.001", out_dir=f"/tmp/doonop_out/_warm{ncpu}")
     flagship_crawl(world, bulk_seed=True)
     print(json.dumps({"ready": ncpu}), flush=True)
-    import gc
-
     for line in sys.stdin:
         cmd = line.strip()
         if cmd == "quit":
@@ -84,14 +82,6 @@ def child_main(ncpu: int, world: str) -> None:
         sec = time.monotonic() - t0
         print(json.dumps({"sec": round(sec, 4), "visited": len(df)}),
               flush=True)
-        # every crawl creates fresh frontier/seen actors whose handles
-        # sit in reference CYCLES — without an explicit collect they
-        # accumulate for the session's lifetime (~8 actor processes per
-        # crawl; a 370-crawl marathon child leaked ~400 processes and
-        # exhausted fork on 2026-08-21). Collect outside the timed
-        # window so Ray reaps dead actors between runs.
-        del df
-        gc.collect()
     ray.shutdown()
 
 
