@@ -127,7 +127,17 @@ def make_link_router(frontier_handles, retry_policy: str):
     task pins its CPU slot and makes Ray spawn extra workers, silently
     oversubscribing the node). Returns the chunk's counters (visited /
     ok / timeout / error / links) so the crawl loop can settle them
-    against the shards; retry timestamps use the chunk's wall clock."""
+    against the shards; retry timestamps use the chunk's wall clock.
+
+    An ``ingest`` payload is one ``str`` (the shard's links joined by
+    newlines with ``pc.binary_join``) plus the depths as little-endian
+    int32 bytes, so no Python object is made per link. No canonical URL
+    holds a newline, but a custom fetch backend may return one; such a
+    link (or a null) raises ``ValueError`` here, failing the chunk,
+    because a failed fire-and-forget ``ingest`` would leave the settle
+    loop waiting for links that never arrive. The payload is not Arrow:
+    the shard needs one Python ``str`` per link for its set check, and
+    splitting one string makes them in C (see ``FrontierShard.ingest``)."""
     n_shards = len(frontier_handles)
 
     def route(batch: pa.Table) -> dict[str, int]:
@@ -147,19 +157,32 @@ def make_link_router(frontier_handles, retry_policy: str):
 
         # ---- candidate links → their host's shard (first discovery wins
         # there): flatten the Arrow list column once, route it batch-wise,
-        # ONE ingest message per shard — the only Python-object work is
-        # materializing each shard's payload strings for the message
+        # join each shard's links into one string in one kernel call,
+        # ONE ingest message per shard
         if n_links.sum():
             ok_tb = batch.filter(ok_mask)
             flat = pc.list_flatten(ok_tb.column("links")).combine_chunks()
             depths = np.repeat(
                 ok_tb.column("depth").to_numpy(zero_copy_only=False)
-                .astype(np.int64) + 1,
+                .astype(np.int32) + 1,
                 lens[okb],
             )
-            for s, idx in _shard_runs(flat, n_shards):
+            runs = _shard_runs(flat, n_shards)
+            order = np.concatenate([idx for _, idx in runs])
+            offsets = np.cumsum([0] + [len(idx) for _, idx in runs],
+                                dtype=np.int32)
+            joined = pc.binary_join(pa.ListArray.from_arrays(
+                pa.array(offsets), flat.take(pa.array(order))), "\n")
+            for (s, idx), urls in zip(runs, joined.to_pylist()):
+                if urls is None or urls.count("\n") != len(idx) - 1:
+                    bad = next(u for u in flat.take(pa.array(idx)).to_pylist()
+                               if u is None or "\n" in u)
+                    raise ValueError(
+                        f"chunk part-{chunk_signature(batch)}: link {bad!r} "
+                        "is null or holds a newline, which the shard "
+                        "ingest payload cannot carry")
                 frontier_handles[s].ingest.remote(
-                    flat.take(pa.array(idx)).to_pylist(), depths[idx].tolist())
+                    urls, depths[idx].astype("<i4", copy=False).tobytes())
 
         # ---- timeouts → retry lanes (retry.rs:24-36 accounting); the
         # attempt number rides along so redelivered batches (Ray task

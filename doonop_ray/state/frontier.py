@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import heapq
 import pickle
+import sys
+from array import array
 
 from ..robots import RobotsCache, make_table_fetcher
 from ..url import host_of, path_of
@@ -301,11 +303,26 @@ class FrontierShard:
     def seed(self, urls: list[str]) -> int:
         return self._push_fresh(urls, [0] * len(urls))
 
-    def ingest(self, urls: list[str], depths: list[int]) -> None:
-        """Discovered links (parallel arrays, one message per shard per
-        chunk)."""
+    def ingest(self, urls: str, depths: bytes) -> None:
+        """One chunk's discovered links for this shard (one message per
+        shard per chunk): ``urls`` newline-joined into one string (no
+        canonical URL holds a newline; the router checks) and
+        ``depths`` as little-endian int32 bytes, in the same order.
+
+        The set check needs one Python ``str`` per link, and
+        ``split`` makes them in C straight from the payload, where a
+        pickled list costs one object per link to build in the chunk
+        task and to unpickle here. The payload is not Arrow: the shard
+        would still have to ``to_pylist`` it, and this module stays free
+        of pyarrow and numpy (Ray 2.49's own serializer imports both in
+        every worker that receives arguments, so that is not a memory
+        saving in a crawl)."""
+        urls = urls.split("\n")
+        d = array("i", depths)
+        if sys.byteorder != "little":
+            d.byteswap()
         self.n_ingested += len(urls)
-        self._push_fresh(urls, depths)
+        self._push_fresh(urls, d)
 
     def keep_retry_batch(self, items, now_ms: float) -> int:
         """items: [(url, depth)] or [(url, depth, attempt)] — returns how

@@ -10,13 +10,15 @@ partition as a ``SeenCore``, so a discovered link's membership check
 and its push happen in one process. Memory is bounded with a cuckoo filter (Fan et al., "Cuckoo
 Filter: Practically Better Than Bloom", CoNEXT 2014):
 
-- ``exact`` mode (default): python set is the authority — bit-exact
-  conformance with the reference's seen set; the cuckoo filter is kept
-  in sync to exercise the scale path.
+- ``exact`` mode (default): a python set is the authority — bit-exact
+  conformance with the reference's seen set. No cuckoo filter is built:
+  exact mode needs no numpy, holds no table and snapshots none.
 - ``cuckoo`` mode: the filter is the authority — fixed memory at
   10^10-URL scale, with a documented false-positive rate (a false
   positive drops a URL exactly once; deletion-capable so retries could
-  un-mark if ever needed).
+  un-mark if ever needed). Once an insert's eviction walk has failed,
+  the table is effectively full and later inserts whose two buckets are
+  full go straight to the stash.
 
 ``check_and_add`` is batch-first: one actor round-trip per batch per
 shard, not per URL.
@@ -25,8 +27,6 @@ shard, not per URL.
 from __future__ import annotations
 
 import pickle
-
-import numpy as np
 
 _FP_BITS = 16
 _BUCKET = 4
@@ -82,6 +82,7 @@ def host_shards_of_batch(urls, num_shards: int) -> np.ndarray:
     dictionary-encoded, and ``host_shard_of`` runs once per distinct
     origin, so the batch and scalar routing cannot diverge. Accepts a
     ``pa.Array``/``ChunkedArray`` of strings or a list of str."""
+    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -104,6 +105,8 @@ class CuckooFilter:
     """Numpy-backed (n_buckets x 4) 16-bit-fingerprint cuckoo filter."""
 
     def __init__(self, capacity: int, seed: int = 0):
+        import numpy as np
+
         n = max(16, int(capacity / (_BUCKET * 0.95)))
         self.n_buckets = 1 << (n - 1).bit_length()  # power of two
         self.table = np.zeros((self.n_buckets, _BUCKET), dtype=np.uint16)
@@ -130,14 +133,25 @@ class CuckooFilter:
         return fp in self.table[i2] or (i2, fp) in self.overflow
 
     def add_hash(self, h: int) -> None:
+        import numpy as np
+
         fp, i1 = self._fp_and_index(h)
-        for i in (i1, self._alt_index(i1, fp)):
+        i2 = self._alt_index(i1, fp)
+        for i in (i1, i2):
             row = self.table[i]
             empty = np.flatnonzero(row == 0)
             if len(empty):
                 row[empty[0]] = fp
                 self.count += 1
                 return
+        if self.overflow:
+            # a walk has already failed, so the table is effectively
+            # full: another 500-kick walk would almost surely fail too.
+            # Stash under both buckets, as a failed walk does.
+            self.overflow.add((i1, fp))
+            self.overflow.add((i2, fp))
+            self.count += 1
+            return
         # evict loop
         i = i1
         for _ in range(_MAX_KICKS):
@@ -169,8 +183,13 @@ class SeenCore:
     def __init__(self, mode: str = "exact", capacity: int = 1 << 16, seed: int = 0):
         assert mode in ("exact", "cuckoo")
         self.mode = mode
+        self.capacity = capacity
+        self.seed = seed
         self.exact: set[str] = set()
-        self.filter = CuckooFilter(capacity, seed)
+        # exact mode never reads a filter: build (and import numpy for)
+        # one only in cuckoo mode
+        self.filter = (CuckooFilter(capacity, seed) if mode == "cuckoo"
+                       else None)
 
     def check_and_add(self, urls: list[str]) -> list[bool]:
         """True = first discovery (kept), False = already seen (dropped).
@@ -181,8 +200,6 @@ class SeenCore:
         """
         out = []
         if self.mode == "exact":
-            # pure set-speed hot path; the cuckoo filter is exercised by
-            # "cuckoo" mode and its own tests, not synced here
             for u in urls:
                 if u in self.exact:
                     out.append(False)
@@ -205,7 +222,10 @@ class SeenCore:
     def occupancy(self) -> dict[str, int]:
         """Memory-budget telemetry: ``stash`` > 0 means the cuckoo table
         is effectively full and membership is degrading toward an
-        unbounded exact set — size ``seen_capacity_per_shard`` up."""
+        unbounded exact set — size ``seen_capacity_per_shard`` up. An
+        exact shard has no slots and no stash."""
+        if self.filter is None:
+            return {"count": len(self), "stash": 0, "slots": 0}
         return {
             "count": len(self),
             "stash": len(self.filter.overflow),
@@ -213,21 +233,23 @@ class SeenCore:
         }
 
     def snapshot(self) -> bytes:
-        return pickle.dumps(
-            {
-                "mode": self.mode,
-                "exact": self.exact,
-                "table": self.filter.table,
-                "overflow": self.filter.overflow,
-                "count": self.filter.count,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        st = {"mode": self.mode, "exact": self.exact}
+        if self.filter is not None:
+            st.update(table=self.filter.table, overflow=self.filter.overflow,
+                      count=self.filter.count)
+        return pickle.dumps(st, protocol=pickle.HIGHEST_PROTOCOL)
 
     def restore(self, blob: bytes) -> None:
         st = pickle.loads(blob)
         self.mode = st["mode"]
         self.exact = st["exact"]
+        if self.mode == "exact":
+            # a snapshot written before exact shards dropped their
+            # filter still carries its (never read) table: ignored
+            self.filter = None
+            return
+        if self.filter is None:
+            self.filter = CuckooFilter(self.capacity, self.seed)
         self.filter.table = st["table"]
         # geometry travels with the table: a shard rebuilt with a
         # different constructor capacity would otherwise mod every

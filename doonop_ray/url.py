@@ -15,8 +15,12 @@ emits nothing else).
 ``make_absolute`` is the one definition of link semantics.
 ``make_absolute_batch`` resolves a whole chunk of harvested links with
 Arrow kernels, but only for href shapes whose result it can prove equal
-to ``make_absolute``'s; every other href goes through ``make_absolute``
-itself (see the invariants above ``make_absolute_batch``).
+to ``make_absolute``'s (canonical absolute, root-relative and
+parent-relative ``../`` hrefs); every other href goes through
+``make_absolute`` itself (see the invariants above
+``make_absolute_batch``). No URL either returns holds a tab, carriage
+return or newline (``urlsplit`` strips them and the Arrow shapes admit
+none), which is what lets the link router newline-join a shard's links.
 """
 
 from __future__ import annotations
@@ -120,21 +124,38 @@ def make_absolute(base: str, href: str) -> str | None:
 #   through unchanged (``canonicalize`` is the identity on it);
 # - a root-relative href, ``/`` + safe path characters with no empty
 #   segment (``urljoin`` collapses ``//`` inside the path), becomes the
-#   base page's origin + the href, when that origin is itself canonical.
+#   base page's origin + the href, when that origin is itself canonical;
+# - a parent-relative href, ``../`` + safe path characters with no empty
+#   segment, becomes the base page's origin + the parent of its
+#   directory + the href without its ``../``, when that origin is
+#   canonical and the page's path is clean: ``/`` + safe segments, none
+#   empty and none a dot segment, optionally followed by ``?…`` or
+#   ``#…`` (both of which a path-carrying href discards). The page's
+#   directory is its path up to the last ``/``; the parent of ``/`` is
+#   ``/`` (``https://h/p/12`` + ``../p/5`` → ``https://h/p/5``).
 #
 # Safe path characters exclude ``;?#\``, whitespace, control and
 # non-ASCII characters. The host class excludes ports, userinfo and IPv6
 # literals. A dot segment (``/.`` or ``/..`` followed by ``/`` or the end)
-# anywhere disqualifies an href. Every other href, and every href of a
-# page whose origin is not canonical, goes through ``make_absolute``.
+# anywhere disqualifies an href (the leading ``../`` of a parent-relative
+# href has no ``/`` before it and so is not one), and anywhere in a
+# page URL disqualifies its parent-relative hrefs. Every other href,
+# and every href of a page whose origin is not canonical, goes through
+# ``make_absolute``.
 # ---------------------------------------------------------------------------
 
 _SEG_CH = r"[A-Za-z0-9._~!$&'()*+,=:@%-]"
 _ORIGIN = r"https?://[a-z0-9.-]+"
 _CANON_ABS_RE = f"^{_ORIGIN}/(?:{_SEG_CH}|/)*$"
 _ROOT_REL_RE = f"^/(?:{_SEG_CH}+/)*{_SEG_CH}*$"
+_UP_REL_RE = rf"^\.\./(?:{_SEG_CH}+/)*{_SEG_CH}*$"
 _DOT_SEG_RE = r"/\.\.?(?:/|$)"
-_BASE_ORIGIN_RE = f"^(?P<origin>{_ORIGIN})(?:[/?#]|$)"
+# origin, and (when the path is clean) the parent of the page's
+# directory: the lazy ``parent`` stops one directory short of the last
+# ``/``, or at the root; ``parent`` is empty when the second branch
+# matched
+_BASE_RE = (f"^(?P<origin>{_ORIGIN})(?:(?P<parent>/(?:{_SEG_CH}+/)*?)"
+            f"(?:{_SEG_CH}+/)?{_SEG_CH}*(?:[?#]|$)|[/?#]|$)")
 
 
 def _mask(arr, pattern: str):
@@ -164,25 +185,36 @@ def make_absolute_batch(bases, hrefs):
     flat = pc.list_flatten(hrefs)
     if len(flat) == 0:
         return pa.array([], pa.string())
-    parent = pc.list_parent_indices(hrefs)
+    parent = np.asarray(pc.list_parent_indices(hrefs))
     no_dot = ~_mask(flat, _DOT_SEG_RE)
     as_is = _mask(flat, _CANON_ABS_RE) & no_dot
-    origin = pc.struct_field(pc.extract_regex(bases, _BASE_ORIGIN_RE), [0])
-    link_origin = origin.take(parent)
+    base = pc.extract_regex(bases, _BASE_RE)
+    origin = pc.struct_field(base, [0])
+    up_dir = pc.struct_field(base, [1])
+    up_ok = (np.asarray(pc.utf8_length(up_dir).fill_null(0)) > 0) \
+        & ~_mask(bases, _DOT_SEG_RE)
     joined = _mask(flat, _ROOT_REL_RE) & no_dot & np.asarray(
-        link_origin.is_valid())
-    out = pc.if_else(
-        pa.array(as_is), flat,
-        pc.if_else(pa.array(joined),
-                   pc.binary_join_element_wise(link_origin, flat, ""),
-                   pa.scalar(None, pa.string())))
-    slow = ~(as_is | joined) & np.asarray(flat.is_valid())
+        origin.is_valid())[parent]
+    up = _mask(flat, _UP_REL_RE) & no_dot & up_ok[parent]
+    out = pc.if_else(pa.array(as_is), flat, pa.scalar(None, pa.string()))
+    # each joined shape: its page's prefix + the href past ``skip`` chars
+    for mask, prefix, skip in (
+            (joined, origin, 0),
+            (up, pc.binary_join_element_wise(origin, up_dir, ""), 3)):
+        if mask.any():
+            idx = np.flatnonzero(mask)
+            tail = flat.take(idx)
+            if skip:
+                tail = pc.utf8_slice_codeunits(tail, skip)
+            out = pc.replace_with_mask(out, pa.array(mask),
+                                       pc.binary_join_element_wise(
+                                           prefix.take(parent[idx]), tail, ""))
+    slow = ~(as_is | joined | up) & np.asarray(flat.is_valid())
     if slow.any():
-        slow_idx = pa.array(np.flatnonzero(slow))
-        base_py = bases.to_pylist()
+        slow_idx = np.flatnonzero(slow)
         slow_out = [
-            make_absolute(base_py[p], h) for p, h in zip(
-                parent.take(slow_idx).to_pylist(),
+            make_absolute(b, h) for b, h in zip(
+                bases.take(parent[slow_idx]).to_pylist(),
                 flat.take(slow_idx).to_pylist())
         ]
         out = pc.replace_with_mask(out, pa.array(slow),

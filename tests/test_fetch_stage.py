@@ -4,16 +4,20 @@ reference, non-ok rows carry no links, and part files get a
 deterministic name."""
 
 import os
+import types
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from doonop_ray.filters import FilterSpec
-from doonop_ray.pipelines.crawler import chunk_signature, make_persist_fn
+from doonop_ray.pipelines.crawler import (chunk_signature, make_link_router,
+                                          make_persist_fn)
 from doonop_ray.stages.fetch import (Fetcher, Validator, _fetch_key,
                                      make_validate_fn, prep_images_table)
 from doonop_ray.synth import WorldParams, build_world
+from doonop_ray.state.frontier import FrontierShard
+from doonop_ray.state.seen import host_shard_of
 from doonop_ray.url import make_absolute
 
 WORLD = build_world(WorldParams(seed=5, n_hosts=4, pages_per_host=15,
@@ -132,3 +136,76 @@ def test_persist_n_links_matches_per_row_count(tmp_path):
     assert written.column("n_links").to_pylist() == expected
     assert "links" not in written.column_names
     assert written.column("url").to_pylist() == batch.column("url").to_pylist()
+
+
+def _shard():
+    return FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False)
+
+
+class _InProcessHandle:
+    """Stands in for a shard actor handle: ``ingest.remote`` records the
+    payload and calls an in-process ``FrontierShard``."""
+
+    def __init__(self):
+        self.shard = _shard()
+        self.payloads = []
+        self.ingest = types.SimpleNamespace(remote=self._ingest)
+        self.keep_retry_batch = types.SimpleNamespace(
+            remote=self.shard.keep_retry_batch)
+
+    def _ingest(self, urls, depths):
+        self.payloads.append((urls, depths))
+        self.shard.ingest(urls, depths)
+
+
+@pytest.mark.parametrize("n_shards", [1, 3])
+def test_router_sends_one_string_per_shard_and_pushes_as_the_list_path(
+        n_shards):
+    """Each shard gets one ``str`` + ``bytes`` payload per chunk, and
+    pushes exactly what the per-link list payload pushed: the same
+    urls and depths in the same order, the same ``n_ingested``."""
+    urls = WORLD.pages.column("url").to_pylist()
+    batch = Fetcher(WORLD.pages, FilterSpec())(_batch(urls))
+    batch = batch.set_column(2, "depth", pa.array(
+        [i % 4 for i in range(len(urls))], pa.int32()))
+    handles = [_InProcessHandle() for _ in range(n_shards)]
+    counters = make_link_router(handles, "first")(batch)
+
+    # the list path: every ok row's links, in row order, to its host's
+    # shard, each at the row's depth + 1
+    want = [([], []) for _ in range(n_shards)]
+    for st, ls, d in zip(batch.column("status").to_pylist(),
+                         batch.column("links").to_pylist(),
+                         batch.column("depth").to_pylist()):
+        for u in (ls if st == "ok" else []):
+            want[host_shard_of(u, n_shards)][0].append(u)
+            want[host_shard_of(u, n_shards)][1].append(d + 1)
+    assert counters["links"] == sum(len(w[0]) for w in want) > 0
+    for h, (w_urls, w_depths) in zip(handles, want):
+        ref = _shard()
+        ref.n_ingested += len(w_urls)
+        ref._push_fresh(w_urls, w_depths)
+        if not w_urls:
+            assert h.payloads == []
+            continue
+        assert len(h.payloads) == 1
+        payload_urls, payload_depths = h.payloads[0]
+        assert type(payload_urls) is str and type(payload_depths) is bytes
+        assert h.shard.n_ingested == ref.n_ingested
+        assert h.shard.core.heap == ref.core.heap
+
+
+@pytest.mark.parametrize("bad", ["https://h000.example.com/a\nb", None])
+def test_router_refuses_a_link_its_payload_cannot_carry(bad):
+    batch = pa.table({
+        "url": pa.array(["https://h000.example.com/"], pa.string()),
+        "attempt": pa.array([0], pa.int32()),
+        "depth": pa.array([0], pa.int32()),
+        "status": pa.array(["ok"], pa.string()),
+        "links": pa.array([["https://h000.example.com/ok", bad]],
+                          pa.list_(pa.string())),
+    })
+    handles = [_InProcessHandle()]
+    with pytest.raises(ValueError, match="chunk part-.*newline"):
+        make_link_router(handles, "first")(batch)
+    assert handles[0].payloads == []

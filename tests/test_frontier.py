@@ -1,5 +1,15 @@
+import os
+import struct
+import subprocess
+import sys
+
 from doonop_ray.robots import RobotsCache, make_table_fetcher
 from doonop_ray.state.frontier import FrontierCore, FrontierShard
+
+
+def _links(urls, depths):
+    """An ``ingest`` payload as the link router builds it."""
+    return "\n".join(urls), struct.pack(f"<{len(depths)}i", *depths)
 
 
 def _core(**kw):
@@ -181,12 +191,39 @@ def test_frontier_shard_owns_its_seen_partition():
 
     s = shard()
     assert s.seed(["u1", "u2", "u1"]) == 2
-    s.ingest(["u2", "u3"], [1, 1])
+    s.ingest(*_links(["u2", "u3"], [1, 1]))
     assert s.progress() == (2, 0, False)
     t = shard()
     t.restore(s.snapshot())
-    t.ingest(["u3", "u4"], [2, 2])  # u3 is in the restored seen set
+    t.ingest(*_links(["u3", "u4"], [2, 2]))  # u3 is in the restored seen set
     assert t.seen_urls() == {"u1", "u2", "u3", "u4"}
     assert t.drain(10, 0.0, None) == [("u4", 0, 2), ("u3", 0, 1),
                                       ("u2", 0, 0), ("u1", 0, 0)]
     assert t.progress() == (2, 0, True)
+
+
+def test_exact_shard_imports_neither_numpy_nor_pyarrow():
+    """An exact-mode shard's whole life (seed, ingest, snapshot, restore)
+    loads neither numpy nor pyarrow into its process: it builds no cuckoo
+    filter and its ingest payload is a string and bytes, not Arrow."""
+    code = """
+import sys
+from doonop_ray.state.frontier import FrontierShard
+
+def shard():
+    return FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False)
+
+s = shard()
+assert s.seed(["https://a.example.com/"]) == 1
+s.ingest("https://a.example.com/x\\nhttps://a.example.com/",
+         (1).to_bytes(4, "little") * 2)
+t = shard()
+t.restore(s.snapshot())
+assert t.seen_urls() == {"https://a.example.com/", "https://a.example.com/x"}
+print(sorted(m for m in ("numpy", "pyarrow") if m in sys.modules))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root,
+                         env=dict(os.environ, PYTHONPATH=root),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

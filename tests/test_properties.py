@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doonop_ray.codec import (
@@ -77,6 +77,7 @@ _href_piece = st.sampled_from([
     "/", "//", ".", "..", "/.", "/..", "/./", "/../", "a", "B", "p", "7",
     ";x", "?", "#", "?q=1", "#f", ":", "@",
     "%2e", "%", "~", "-", "_", "'", "!", "=", "&", " ", "\t", "\\", "é",
+    "\n", "\r",
 ])
 _scheme = st.sampled_from(["http://", "https://", "HTTP://", "Https://",
                            "ftp://", "mailto:", "//", ""])
@@ -86,9 +87,17 @@ _host = st.sampled_from(["h.example.com", "H.Example.com", "a", "1.2.3.4",
 _path = st.lists(_href_piece, max_size=6).map("".join)
 
 
+# clean path segments (the parent-relative fast path's alphabet) plus
+# the dot segments and empty segments that must keep a page or an href
+# off it
+_seg = st.sampled_from(["p", "a", "B", "7", "x-y", "%41", "~u", "a.b", "..x",
+                        "q=1", "", ".", ".."])
+_segs = st.lists(_seg, max_size=4).map("/".join)
+
+
 @st.composite
 def _hrefs(draw):
-    kind = draw(st.integers(0, 3))
+    kind = draw(st.integers(0, 4))
     if kind == 0:
         return (draw(_scheme) + draw(_host)
                 + draw(st.sampled_from(["", "/"])) + draw(_path))
@@ -96,6 +105,11 @@ def _hrefs(draw):
         return "/" + draw(_path)
     if kind == 2:
         return draw(st.sampled_from([".", "..", "../", "./", ""])) + draw(_path)
+    if kind == 3:
+        # parent-relative: ``../`` and its near misses + clean segments
+        return (draw(st.sampled_from(["../", "../", "../../", "..", "../.",
+                                      "..//", "./../", "../../../"]))
+                + draw(_segs) + draw(st.sampled_from(["", "/", "?q", "#f"])))
     return draw(_path)
 
 
@@ -104,23 +118,72 @@ _bases = st.one_of(
               st.sampled_from(["http://", "https://"]),
               st.sampled_from(["h.example.com", "a", "1.2.3.4"]),
               st.sampled_from(["/", "/p/3", "/a/b/", "", "?x", "#y", "/a;b"])),
+    # canonical origins + page paths: root, trailing ``/``, deeper
+    # directories, ``?``/``#`` on the page, dot and empty segments
+    st.builds(lambda s, h, p, t, q: s + h + "/" + p + t + q,
+              st.sampled_from(["http://", "https://"]),
+              st.sampled_from(["h.example.com", "a", "x-y.z"]),
+              st.lists(st.sampled_from(["p", "a", "7", "x-y", "", ".", ".."]),
+                       max_size=4).map("/".join),
+              st.sampled_from(["", "/"]),
+              st.sampled_from(["", "?x", "#y", "?a/../b", "#/./"])),
     st.builds(lambda s, h, p: s + h + "/" + p, _scheme, _host, _path),
     st.builds(lambda s, h, p: s + h + p, _scheme, _host, _path),
 )
+_pages = st.lists(st.tuples(_bases, st.lists(_hrefs(), max_size=6)),
+                  max_size=8)
 
 
-@given(st.lists(st.tuples(_bases, st.lists(_hrefs(), max_size=6)),
-                max_size=8))
-@settings(max_examples=300, deadline=None)
-def test_make_absolute_batch_equals_scalar(pages):
+def _batch_of(pages):
     import pyarrow as pa
 
-    bases = [b for b, _ in pages]
-    hrefs = [hs for _, hs in pages]
-    out = make_absolute_batch(pa.array(bases, pa.string()),
-                              pa.array(hrefs, pa.list_(pa.string())))
-    assert out.to_pylist() == [
+    return make_absolute_batch(
+        pa.array([b for b, _ in pages], pa.string()),
+        pa.array([hs for _, hs in pages], pa.list_(pa.string())))
+
+
+def test_make_absolute_batch_equals_scalar(monkeypatch):
+    """Batch resolution == ``make_absolute`` href by href, and the
+    parent-relative fast path is actually taken: some ``../`` hrefs
+    resolve without a ``make_absolute`` call."""
+    import doonop_ray.url as url_mod
+
+    slow: set = set()
+
+    def recording(base, href):
+        slow.add((base, href))
+        return make_absolute(base, href)
+
+    monkeypatch.setattr(url_mod, "make_absolute", recording)
+    fast_up = []
+
+    @given(_pages)
+    # the fast path's two guards, pinned: a dot segment in the page's
+    # directory, and a second ``../``
+    @example([("https://h.example.com/a/./b/c", ["../x"]),
+              ("https://h.example.com/a/b/c", ["../../x"])])
+    @settings(max_examples=300, deadline=None)
+    def prop(pages):
+        slow.clear()
+        assert _batch_of(pages).to_pylist() == [
+            make_absolute(b, h) for b, hs in pages for h in hs]
+        fast_up.extend((b, h) for b, hs in pages for h in hs
+                       if h.startswith("../") and (b, h) not in slow)
+
+    prop()
+    assert fast_up
+
+
+@given(_pages)
+@settings(max_examples=200, deadline=None)
+def test_resolved_links_hold_no_newline(pages):
+    """The link router newline-joins a shard's links, so no resolved
+    link may hold a newline (nor ``\\t``/``\\r``, which ``urlsplit``
+    strips alike)."""
+    out = _batch_of(pages).to_pylist() + [
         make_absolute(b, h) for b, hs in pages for h in hs]
+    for u in out:
+        assert u is None or not any(c in u for c in "\t\r\n")
 
 
 # link routing: the batch router must send every URL to the shard the

@@ -79,8 +79,59 @@ def test_seen_snapshot_restore():
     blob = s.snapshot()
     s2 = SeenCore("exact")
     s2.restore(blob)
-    assert np.array_equal(s2.filter.table, s.filter.table)
     assert s2.check_and_add(["u5", "new"]) == [False, True]
+
+
+def test_cuckoo_snapshot_restore_carries_the_table():
+    s = SeenCore("cuckoo", capacity=1024)
+    s.check_and_add([f"u{i}" for i in range(100)])
+    # restored into a shard built in exact mode: the snapshot's mode wins
+    s2 = SeenCore("exact")
+    s2.restore(s.snapshot())
+    assert s2.mode == "cuckoo"
+    assert np.array_equal(s2.filter.table, s.filter.table)
+    assert s2.occupancy() == s.occupancy()
+    assert s2.check_and_add(["u5", "new"]) == [False, True]
+
+
+def test_exact_mode_builds_no_filter_and_restores_old_snapshots():
+    """Exact mode never reads a cuckoo filter, so it builds none and
+    snapshots none; a snapshot written while exact shards still carried
+    one restores, its table ignored."""
+    import pickle
+
+    s = SeenCore("exact")
+    assert s.filter is None
+    s.check_and_add(["a", "b"])
+    assert "table" not in pickle.loads(s.snapshot())
+    assert s.occupancy() == {"count": 2, "stash": 0, "slots": 0}
+    old = pickle.dumps({"mode": "exact", "exact": {"a", "b"},
+                        "table": np.zeros((16, 4), np.uint16),
+                        "overflow": set(), "count": 0})
+    s2 = SeenCore("exact")
+    s2.restore(old)
+    assert s2.filter is None
+    assert s2.check_and_add(["b", "c"]) == [False, True]
+
+
+def test_overfull_cuckoo_stashes_without_another_walk():
+    """Once an eviction walk has failed, an insert whose two buckets are
+    full goes straight to the stash: no walk (the walk is the filter's
+    only ``rng`` caller) and still no false negatives."""
+    cf = CuckooFilter(capacity=16, seed=3)
+    urls = [f"https://y.com/{i}" for i in range(600)]
+    i = 0
+    while not cf.overflow:
+        cf.add(urls[i])
+        i += 1
+    rng_state = cf.rng.bit_generator.state
+    stash = len(cf.overflow)
+    for u in urls[i:]:
+        cf.add(u)
+    assert cf.rng.bit_generator.state == rng_state
+    assert len(cf.overflow) > stash
+    assert cf.count == len(urls)
+    assert all(u in cf for u in urls)
 
 def test_occupancy_budgeted_capacity_keeps_stash_empty():
     """A shard sized for its load (the derived seen_capacity_per_shard
