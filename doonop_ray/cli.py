@@ -79,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single-lane reference-exact order (j=1 semantics)")
     p.add_argument("--json", action="store_true",
                    help="print collected data as JSON lines to stdout")
-    p.add_argument("--max-per-host", type=int, default=None,
-                   help="politeness: max URLs released per host per "
-                        "frontier drain poll (not a rate)")
+    p.add_argument("--host-rate", type=float, default=None,
+                   help="politeness: requests per second per host "
+                        "(token bucket; default unthrottled)")
     p.add_argument("--num-cpus", type=int, default=None,
                    help="ray.init num_cpus when no session exists")
     return p
@@ -147,9 +147,8 @@ def main(argv: list[str] | None = None) -> int:
         engines=args.engines,
         checkpoint_dir=args.checkpoint,
         checkpoint_every_sec=args.checkpoint_every_sec,
+        host_rate_per_sec=args.host_rate,
     )
-    if args.max_per_host is not None:
-        cfg.max_per_host_per_wave = args.max_per_host
 
     fetch_backend = None
     if args.http:

@@ -33,33 +33,25 @@ class CrawlConfig:
                                         # num_frontier_shards raises
     num_frontier_shards: int = 1        # state actors: frontier + seen,
                                         # partitioned by host
-    max_per_host_per_wave: int | None = None  # per-drain-poll cap on URLs
-                                              # released per host (not a
-                                              # rate: see host_rate_per_sec)
-    host_rate_per_sec: float | None = None    # token-bucket politeness:
-                                              # refill rate per host
+    host_rate_per_sec: float | None = None    # politeness: per-host
+                                              # token-bucket refill,
+                                              # requests/sec (None: off)
     host_burst: float = 4.0                   # token-bucket capacity
     fetch_batch_size: int = 256         # rows per chunk task
     checkpoint_dir: str | None = None   # final (and periodic) checkpoints
-    seen_mode: str = "exact"            # "exact" | "cuckoo" | "both"
-    seen_capacity_per_shard: int | None = None
-                                        # cuckoo slots per shard's seen
-                                        # partition. None → derived from
-                                        # expected_total_urls (1.3×
-                                        # headroom split across shards)
-                                        # when set, else 1<<18. Past
+    seen_mode: str = "exact"            # "exact" | "cuckoo"
+    expected_total_urls: int | None = None
+                                        # sizes the cuckoo seen
+                                        # partitions: each shard holds
+                                        # max(4096, 1.3 × this ÷ shards)
+                                        # URLs (None → 1<<18). Past
                                         # capacity the filter degrades
                                         # to an exact overflow stash
                                         # (no false negatives, but
-                                        # unbounded memory) — stash
-                                        # occupancy (seen_stash in
-                                        # _stream_metrics.jsonl) makes
-                                        # an undersized run visible.
-    expected_total_urls: int | None = None
-                                        # frontier-budget hint (seed
-                                        # count × expected expansion)
-                                        # used to size the seen
-                                        # partitions
+                                        # unbounded memory); seen_stash
+                                        # in _stream_metrics.jsonl shows
+                                        # an undersized run. Exact mode
+                                        # ignores it
     extractor: object | None = None     # M2/M3 analog: picklable
                                         # fn(page_rows: pa.Table) ->
                                         # pa.Array<string> overriding the
@@ -75,6 +67,20 @@ class CrawlConfig:
                                         # snapshot → resume)
 
     def __post_init__(self):
+        if self.seen_mode not in ("exact", "cuckoo"):
+            raise ValueError(f"seen_mode={self.seen_mode!r}: expected "
+                             "'exact' or 'cuckoo'")
+        if self.retry_policy not in ("no", "first", "last"):
+            raise ValueError(f"retry_policy={self.retry_policy!r}: "
+                             "expected 'no', 'first' or 'last'")
+        # a bucket that never refills, or never holds a whole token,
+        # would hold its host's URLs forever and the crawl would not end
+        rate = self.host_rate_per_sec
+        if rate is not None and not rate > 0:
+            raise ValueError(f"host_rate_per_sec={rate}: "
+                             "expected > 0 (None turns politeness off)")
+        if not self.host_burst >= 1:
+            raise ValueError(f"host_burst={self.host_burst}: expected >= 1")
         if not self.streaming:
             raise ValueError(
                 "streaming=False asked for the wave loop, which was "

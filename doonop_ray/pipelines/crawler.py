@@ -352,16 +352,14 @@ class RayCrawler:
     # ------------------------------------------------------------------
     def _spawn_state(self, ray):
         cfg = self.cfg
-        # budgeted cuckoo capacity (round-3 VERDICT #6): a hardcoded
-        # 1<<18 overflows into the exact stash at 10^10-URL scale —
-        # exactly the memory-budget failure the filter exists to avoid
-        cap = cfg.seen_capacity_per_shard
-        if cap is None:
-            if cfg.expected_total_urls is not None:
-                cap = max(1 << 12, int(cfg.expected_total_urls * 1.3)
-                          // cfg.num_frontier_shards)
-            else:
-                cap = 1 << 18
+        # cuckoo capacity per seen partition, budgeted from the expected
+        # crawl size: a fixed 1<<18 overflows into the exact stash at
+        # 10^10-URL scale, the memory failure the filter exists to avoid
+        if cfg.expected_total_urls is None:
+            cap = 1 << 18
+        else:
+            cap = max(1 << 12, int(cfg.expected_total_urls * 1.3)
+                      // cfg.num_frontier_shards)
         # spawned through this module's global name, which the traced
         # benchmark swaps for its subclass
         frontier_cls = ray.remote(FrontierShard)
@@ -377,7 +375,7 @@ class RayCrawler:
                 cfg.use_robots,
                 cfg.host_rate_per_sec,
                 cfg.host_burst,
-                "cuckoo" if cfg.seen_mode == "cuckoo" else "exact",
+                cfg.seen_mode,
                 cap,
             )
             for i in range(cfg.num_frontier_shards)
@@ -461,25 +459,16 @@ class RayCrawler:
         (when the world holds them); each further shard can add at most
         one.
 
-        Politeness note: ``max_per_host_per_wave`` caps what each drain
-        POLL releases per host; use the time-based token buckets
-        (``host_rate_per_sec``/``host_burst``) for real rate limiting.
+        Politeness: with ``host_rate_per_sec`` set, each host's shard
+        releases its URLs through a token bucket (``host_burst``
+        capacity), so a host sees at most ``host_burst + rate·Δt``
+        requests in any window of Δt; held-back URLs wait in the
+        frontier, never dropped.
         """
         import ray
 
         t_start = time.monotonic()
         cfg = self.cfg
-        if (cfg.max_per_host_per_wave is not None
-                and cfg.host_rate_per_sec is None):
-            import warnings
-
-            warnings.warn(
-                "max_per_host_per_wave is a PER-POLL cap: it bounds what "
-                "one frontier drain releases per host, and drains are "
-                "polled continuously, so it does not bound the per-host "
-                "request rate; use host_rate_per_sec/host_burst token "
-                "buckets for time-based politeness.",
-                RuntimeWarning, stacklevel=2)
         if not (resume and cfg.checkpoint_dir) and os.path.isdir(self.out_dir):
             import shutil
 
@@ -562,7 +551,6 @@ class RayCrawler:
         # every core
         chunk_rows = max(1, cfg.fetch_batch_size)
         per_poll = 8 * chunk_rows
-        cap = cfg.max_per_host_per_wave
         goal = None if cfg.limit is None else max(cfg.limit, 1)
         # in-flight window: enough chunks to keep every core busy plus a
         # dispatch cushion; the window IS the backpressure (object store
@@ -606,7 +594,10 @@ class RayCrawler:
                     return []  # the in-flight chunks may reach the goal
                 budget = max(1, budget // n_shards)
             now_ms = time.monotonic() * 1000.0
-            return [f.drain.remote(budget, now_ms, cap) for f in self.frontier]
+            # the third argument is the benchmark's traced drain
+            # override's required per_host_cap (always None)
+            return [f.drain.remote(budget, now_ms, None)
+                    for f in self.frontier]
 
         def poll_shards() -> tuple[bool, bool]:
             """(settled, empty): every routed link and retry landed on
@@ -939,7 +930,7 @@ def run_conformance(cfg: CrawlConfig, pages: pa.Table | None,
     frontier = FrontierCore(
         cfg.retry_policy, cfg.retry_threshold_ms, cfg.retry_count, "lifo"
     )
-    seen = SeenCore("exact" if cfg.seen_mode != "cuckoo" else "cuckoo")
+    seen = SeenCore(cfg.seen_mode)
     if not cfg.use_robots:
         robots = None
     elif callable(robots_map):
@@ -961,7 +952,7 @@ def run_conformance(cfg: CrawlConfig, pages: pa.Table | None,
         frontier.push([(u, 0) for u in fresh])
 
     while not closed:
-        got = frontier.drain(1, clock_ms, None, robots, cfg.robot)
+        got = frontier.drain(1, clock_ms, robots, cfg.robot)
         if not got:
             break
         url, attempt, depth = got[0]

@@ -441,12 +441,9 @@ def image_phash_neardup(sf_dir: str, max_hamming: int = 6) -> pd.DataFrame:
 
 def crawl_polite(sf_dir: str) -> pd.DataFrame:
     """Flagship crawl with per-host politeness token buckets engaged
-    (north_rule politeness budget; over-cap URLs defer, never drop).
-    Uses the TIME-BASED token buckets rather than
-    ``max_per_host_per_wave``, which only caps each drain poll (round-2
-    VERDICT #6); generous
-    rate/burst so the politeness machinery is exercised without making
-    the query wall-time rate-bound. Returns the artifact table;
+    (north_rule politeness budget; over-budget URLs defer, never drop).
+    Generous rate/burst so the politeness machinery is exercised without
+    making the query wall-time rate-bound. Returns the artifact table;
     rows-only check — pinned against the politeness unit tests +
     set-equality in tests/."""
     return flagship_crawl(

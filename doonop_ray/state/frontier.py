@@ -16,10 +16,11 @@ Reference semantics re-expressed for sharded execution:
 - robots consulted at dispatch time; disallowed or fetch-error hosts are
   dropped silently without consuming drain budget and the URL stays in
   the seen set (workload.rs:100-105);
-- politeness (rebuild-only): either a per-drain cap (``per_host_cap``)
-  or true token buckets (``HostTokenBuckets``: ``rate`` tokens/sec per
-  host refilling up to ``burst``); over-budget entries are deferred
-  back to the heap, never dropped.
+- politeness (rebuild-only): per-host token buckets
+  (``HostTokenBuckets``: ``rate`` tokens/sec per host refilling up to
+  ``burst``), so a host is released at most ``burst + rate·Δt`` URLs in
+  any window of Δt; over-budget entries are deferred back to the heap in
+  their relative order, never dropped.
 
 Pure Python and fully unit-testable; wrapped in a Ray actor by the
 crawler (decorated at use site so importing this module needs no Ray).
@@ -44,7 +45,10 @@ from .seen import SeenCore
 class HostTokenBuckets:
     """Per-host politeness token buckets: ``rate`` tokens/second refill,
     capped at ``burst``; a release consumes one token. Time is injected
-    (ms) so tests are deterministic and checkpoints are portable."""
+    (ms) so tests are deterministic and checkpoints are portable: a clock
+    that reads less than a host's ``last_ms`` (a resume after a reboot or
+    on another machine restarts ``time.monotonic()``) refills nothing
+    rather than a negative amount."""
 
     def __init__(self, rate_per_sec: float, burst: float):
         self.rate = rate_per_sec
@@ -55,7 +59,8 @@ class HostTokenBuckets:
     def try_take(self, host: str, now_ms: float) -> bool:
         t = self.tokens.get(host, self.burst)
         last = self.last_ms.get(host, now_ms)
-        t = min(self.burst, t + (now_ms - last) * self.rate / 1000.0)
+        elapsed = max(0.0, now_ms - last)
+        t = min(self.burst, t + elapsed * self.rate / 1000.0)
         self.last_ms[host] = now_ms
         if t >= 1.0:
             self.tokens[host] = t - 1.0
@@ -164,14 +169,12 @@ class FrontierCore:
         self,
         budget: int,
         now_ms: float,
-        per_host_cap: int | None = None,
         robots: RobotsCache | None = None,
         robot: str = "",
     ) -> list[tuple[str, int, int]]:
         """Release up to ``budget`` (url, attempt, depth) entries."""
         out: list[tuple[str, int, int]] = []
         deferred: list[tuple[str, int]] = []
-        host_counts: dict[str, int] = {}
         while len(out) < budget:
             got = self._pop_one(now_ms)
             if got is None:
@@ -182,13 +185,7 @@ class FrontierCore:
                 if verdict is not True:
                     self.robots_dropped += 1
                     continue  # silently dropped; stays in seen
-            if per_host_cap is not None:
-                h = host_of(url)
-                if host_counts.get(h, 0) >= per_host_cap:
-                    deferred.append((url, depth))
-                    continue
-                host_counts[h] = host_counts.get(h, 0) + 1
-            elif self.buckets is not None:
+            if self.buckets is not None:
                 if not self.buckets.try_take(host_of(url), now_ms):
                     deferred.append((url, depth))
                     continue
@@ -339,9 +336,14 @@ class FrontierShard:
         """(links ingested, timeouts received, frontier empty)."""
         return self.n_ingested, self.n_retry_received, self.core.is_empty()
 
-    def drain(self, budget: int, now_ms: float, per_host_cap: int | None):
-        cap = max(1, per_host_cap) if per_host_cap is not None else None
-        return self.core.drain(budget, now_ms, cap, self.robots, self.robot)
+    # per_host_cap stays only for perfbench's TracedFrontierShard.drain,
+    # which passes it through positionally
+    def drain(self, budget: int, now_ms: float, per_host_cap=None):
+        if per_host_cap is not None:
+            raise ValueError(
+                f"per_host_cap={per_host_cap}: per-host politeness is the "
+                "token bucket (host_rate_per_sec/host_burst)")
+        return self.core.drain(budget, now_ms, self.robots, self.robot)
 
     def occupancy(self) -> dict[str, int]:
         return self.seen.occupancy()

@@ -61,7 +61,7 @@ def host_shard_of(url: str, num_shards: int) -> int:
     globally-correct bucket instead of N per-shard ones, and (c) the
     host's seen-set partition lives beside its frontier, so a link is
     checked and pushed in one process. Skewed hosts are bounded by the
-    per-host politeness/per-drain caps, not by shard placement."""
+    per-host politeness token buckets, not by shard placement."""
     import zlib
 
     from ..url import host_of
@@ -222,7 +222,7 @@ class SeenCore:
     def occupancy(self) -> dict[str, int]:
         """Memory-budget telemetry: ``stash`` > 0 means the cuckoo table
         is effectively full and membership is degrading toward an
-        unbounded exact set — size ``seen_capacity_per_shard`` up. An
+        unbounded exact set — raise ``expected_total_urls``. An
         exact shard has no slots and no stash."""
         if self.filter is None:
             return {"count": len(self), "stash": 0, "slots": 0}

@@ -96,6 +96,36 @@ def test_cli_scaled_crawl_with_filters(world_dir, tmp_path):
     assert checked > 0
 
 
+def test_cli_host_rate_reaches_the_crawl(world_dir, tmp_path):
+    """``--host-rate`` sets the shards' token-bucket rate (read back from
+    the final checkpoint) and, like any pacing, leaves the crawl's
+    stats equal to the unthrottled crawl's."""
+    import pickle
+    import re
+
+    from doonop_ray.config import CrawlConfig
+    from doonop_ray.oracle import run_oracle
+
+    d, w = world_dir
+    seeds = w.seeds.column("url").to_pylist()
+    r = run_cli(["--world", d, "--retry-threshold-ms", "0", "-j", "2",
+                 "--host-rate", "20", "--out", str(tmp_path / "out"),
+                 "--checkpoint", str(tmp_path / "ckpt"),
+                 "--num-cpus", "4", *seeds])
+    assert r.returncode == 0, r.stderr[-2000:]
+    m = re.search(r"Statistics: visited (\d+), collected (\d+), "
+                  r"errors (\d+), retries (\d+)", r.stderr)
+    unthrottled = run_oracle(
+        CrawlConfig(seeds=seeds, retry_threshold_ms=0, use_robots=True),
+        w.pages_by_url(), w.robots_map()).stats()
+    assert dict(zip(("visited", "collected", "errors", "retries"),
+                    map(int, m.groups()))) == unthrottled
+    blobs = sorted((tmp_path / "ckpt").glob("stream=*/frontier_000.pkl"))
+    frontier, _seen = pickle.loads(blobs[-1].read_bytes())
+    buckets = pickle.loads(frontier)["buckets"]
+    assert (buckets["rate"], buckets["burst"]) == (20.0, 4.0)
+
+
 def test_cli_limit_zero_quirk(world_dir, tmp_path):
     d, w = world_dir
     seeds = w.seeds.column("url").to_pylist()

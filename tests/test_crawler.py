@@ -112,7 +112,8 @@ def _artifact_rows(out_dir) -> int:
 def test_scaled_mode_with_politeness_and_limit(ray_session, tmp_path):
     """Two frontier shards: each poll drains at least one URL per shard,
     so a limit run may overshoot by one (the reference overshoots by its
-    in-flight count, workload.rs:127-131)."""
+    in-flight count, workload.rs:127-131) — also when the host token
+    buckets hold URLs back."""
     w = build_world(WORLDS[1])
     cfg = _cfg(
         w,
@@ -120,12 +121,12 @@ def test_scaled_mode_with_politeness_and_limit(ray_session, tmp_path):
         num_frontier_shards=2,
         limit=10,
         fetch_batch_size=4,
+        host_rate_per_sec=20.0,
+        host_burst=2.0,
     )
-    cfg.max_per_host_per_wave = 2
     crawler = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
                          str(tmp_path / "out"), world_seed=WORLDS[1].seed)
-    with pytest.warns(RuntimeWarning, match="PER-POLL cap"):
-        stats = crawler.run()
+    stats = crawler.run()
     assert 10 <= stats.collected <= 11
     assert _artifact_rows(tmp_path / "out") == stats.visited
 
@@ -512,20 +513,6 @@ def test_streaming_token_bucket_rate_matches_wave_mode(ray_session, tmp_path):
                              columns=["url"]).column("url").to_pylist())
     assert urls == set(oracle.order)
     assert elapsed >= floor_sec * 0.9, elapsed
-
-
-def test_streaming_warns_on_per_wave_cap(ray_session, tmp_path):
-    import warnings
-
-    w = build_world(WORLDS[0])
-    cfg = _cfg(w, engines=2)
-    cfg.max_per_host_per_wave = 4
-    c = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
-                   str(tmp_path / "out_capwarn"), world_seed=WORLDS[0].seed)
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        c.run()
-    assert any("PER-POLL cap" in str(r.message) for r in rec)
 
 
 def test_hot_host_world_conformance():

@@ -134,9 +134,10 @@ def test_overfull_cuckoo_stashes_without_another_walk():
     assert all(u in cf for u in urls)
 
 def test_occupancy_budgeted_capacity_keeps_stash_empty():
-    """A shard sized for its load (the derived seen_capacity_per_shard
-    path) absorbs the full URL set without touching the overflow stash —
-    the memory budget holds."""
+    """A shard sized for its load (1.3 × its share of
+    ``expected_total_urls``, as the crawler derives it) absorbs the full
+    URL set without touching the overflow stash — the memory budget
+    holds."""
     n = 20_000
     s = SeenCore("cuckoo", capacity=int(n * 1.3))
     s.check_and_add([f"https://h{i % 97}.com/p/{i}" for i in range(n)])

@@ -112,15 +112,25 @@ def test_cuckoo_seen_mode_scaled(ray_session, tmp_path):
     """Cuckoo-authority seen mode: memory-bounded membership; with 16-bit
     fingerprints the false-positive rate is ~0.1%, so on a small world
     the crawl matches the exact-mode result exactly with high
-    probability — assert equality and allow the documented FP slack."""
+    probability — assert equality and allow the documented FP slack.
+
+    ``expected_total_urls`` sizes each shard's filter: max(1<<12,
+    int(20_000 × 1.3) // 2) = 13,000 URLs → 3,421 buckets of 4, rounded
+    up to 4,096 buckets = 16,384 slots (the unsized default is 524,288)."""
+    import ray
+
     w = build_world(WorldParams(seed=21, n_hosts=5, pages_per_host=12, fanout=4))
     base = dict(seeds=w.seeds.column("url").to_pylist(), retry_threshold_ms=0,
                 engines=2, fetch_batch_size=8)
     oracle = run_oracle(CrawlConfig(**base), w.pages_by_url(), w.robots_map())
-    cfg = CrawlConfig(**base, seen_mode="cuckoo")
-    c = RayCrawler(cfg, w.pages, w.images, w.robots_map(), str(tmp_path / "o"),
-                   world_seed=21)
-    stats = c.run()
+    cfg = CrawlConfig(**base, seen_mode="cuckoo", num_frontier_shards=2,
+                      expected_total_urls=20_000)
+    with RayCrawler(cfg, w.pages, w.images, w.robots_map(),
+                    str(tmp_path / "o"), world_seed=21) as c:
+        stats = c.run()
+        occ = ray.get([f.occupancy.remote() for f in c.frontier])
+    assert [(o["slots"], o["stash"]) for o in occ] == [(16_384, 0)] * 2
+    assert sum(o["count"] for o in occ) > 0
     # a false positive can only DROP pages, never duplicate them; with
     # 16-bit fingerprints P(any FP) is tiny but insert order varies run
     # to run, so leave real slack rather than flake on one drop

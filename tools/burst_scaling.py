@@ -26,9 +26,6 @@ their object store well under /dev/shm.
 
 Usage:
   python tools/burst_scaling.py [--pairs 12] [--world scalehq]
-  python tools/burst_scaling.py --campaign-minutes 60 [--pairs 8]
-      # repeat burst sessions until the time budget ends; one JSON line
-      # per session; exits early on a raw best-pair >= 0.8
 """
 
 from __future__ import annotations
@@ -193,105 +190,16 @@ def run_pair(a: "Child", b: "Child", idx: int, lo: int = 8,
     }
 
 
-def marathon(minutes: float, world: str, pairs_per_block: int = 4,
-             target: float = 0.8, lo: int = 8, hi: int = 32) -> None:
-    """Zero-reaction-latency campaign: the two children stay warm for
-    the WHOLE budget; a cheap 1-rep ceiling probe runs between blocks
-    of pairs, so any calm host window is sampled by full 8+32 pairs
-    within seconds of appearing (the round-4 gate→fire protocol paid
-    ~90 s of setup and watched every window decay; here setup is 0).
-    One JSON line per probe and per pair, flushed immediately."""
-    from machine_ceiling import probe
-
-    from doonop_ray.pipelines.flagship import world_for
-
-    world_for(world)
-
-    def spawn():
-        a, b = Child(lo, world), Child(hi, world)
-        a.wait_ready()
-        b.wait_ready()
-        return a, b
-
-    a, b = spawn()
-    t_end = time.monotonic() + minutes * 60.0
-    idx = 0
-    hits = 0
-    respawns = 0
-    try:
-        while time.monotonic() < t_end:
-            p = probe(reps=1, small=lo, large=hi)
-            print(json.dumps({"probe_ceiling": p["ceiling"],
-                              "ts": round(time.time(), 1)}), flush=True)
-            for _ in range(pairs_per_block):
-                try:
-                    row = run_pair(a, b, idx, lo, hi)
-                except RuntimeError as e:
-                    # a Ray-core fatal can abort a child after ~an hour
-                    # of continuous session life (rare, non-reproducible
-                    # — see tools/selfcheck.py's --isolate note): respawn
-                    # both sides and keep sampling; the event is logged
-                    respawns += 1
-                    print(json.dumps({"respawn": respawns,
-                                      "err": str(e)[:120],
-                                      "ts": round(time.time(), 1)}),
-                          flush=True)
-                    a.quit()
-                    b.quit()
-                    if respawns > 10:
-                        raise
-                    a, b = spawn()
-                    break
-                row["ts"] = round(time.time(), 1)
-                row["last_probe"] = p["ceiling"]
-                print(json.dumps(row), flush=True)
-                idx += 1
-                if row["eff"] >= target:
-                    hits += 1
-                    if hits >= 2:  # confirmed, not a one-off clock blip
-                        print(json.dumps(
-                            {"marathon": "target reached twice",
-                             "pairs": idx}), flush=True)
-                        return
-    finally:
-        a.quit()
-        b.quit()
-    print(json.dumps({"marathon": "time budget ended", "pairs": idx,
-                      "target_hits": hits}), flush=True)
-
-
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--child", type=int, default=None)
     ap.add_argument("--world", default="scalehq")
     ap.add_argument("--pairs", type=int, default=12)
-    ap.add_argument("--campaign-minutes", type=float, default=None)
-    ap.add_argument("--marathon-minutes", type=float, default=None)
-    ap.add_argument("--target", type=float, default=0.8)
     args = ap.parse_args()
     if args.child is not None:
         child_main(args.child, args.world)
         return
-    if args.marathon_minutes is not None:
-        marathon(args.marathon_minutes, args.world, target=args.target)
-        return
-    if args.campaign_minutes is None:
-        print(json.dumps(burst_session(args.pairs, args.world)))
-        return
-    t_end = time.monotonic() + args.campaign_minutes * 60.0
-    n = 0
-    while time.monotonic() < t_end:
-        n += 1
-        r = burst_session(args.pairs, args.world)
-        r["session"] = n
-        print(json.dumps(r), flush=True)
-        if r["value"] is not None and r["value"] >= args.target:
-            print(json.dumps({"campaign": "target reached",
-                              "sessions": n}), flush=True)
-            return
-        time.sleep(20)
-    print(json.dumps({"campaign": "time budget ended", "sessions": n}),
-          flush=True)
+    print(json.dumps(burst_session(args.pairs, args.world)))
 
 
 if __name__ == "__main__":
