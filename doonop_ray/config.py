@@ -63,7 +63,7 @@ class CrawlConfig:
                                         # is the only scaled loop; False
                                         # (the removed wave loop) raises
     checkpoint_every_sec: float | None = None  # periodic checkpoint
-                                        # interval (pause → settle →
+                                        # interval (pause → absorb →
                                         # snapshot → resume)
 
     def __post_init__(self):

@@ -14,18 +14,21 @@ their seen-set partitions):
   AND their partition of the seen set (one actor kind, one process per
   shard); ONE long-lived loop submits a plain Ray task per frontier
   drain chunk (fetch→validate→persist→route against per-worker-cached
-  broadcast state), links route back to their host's shard from inside
-  the tasks, where the membership check and the push happen together
-  (no central bottleneck, no actor→actor messages), and each chunk's
-  artifacts land in one parquet part file under
-  ``run=NNN/``. Guarantees set-equality of visited/collected/seen with
+  broadcast state). Each task partitions its links by host and returns
+  one payload per shard with its counters; the loop passes each payload
+  on to its host's shard, where the membership check and the push
+  happen together (no actor→actor messages), and each chunk's
+  artifacts land in one parquet part file under ``run=NNN/``. While the
+  shard actors start, the loop crawls against in-process copies of the
+  shards and then hands them over (the boot, see ``run()``).
+  Guarantees set-equality of visited/collected/seen with
   the reference (whose own N>1 interleave is nondeterministic,
   lib.rs:136-155) plus identical stats counters; an artifact ``limit``
   bounds what each poll drains, so a limit run stops at the limit.
 
 Checkpointing (north_rule): one format, ``stream=NNNNN`` under
 ``checkpoint_dir`` — one snapshot per shard (frontier + seen) plus the
-artifact-file manifest, taken at a quiesced, settled cut every
+artifact-file manifest, taken at a quiesced cut every
 ``checkpoint_every_sec`` and when a run ends or is stopped.
 ``run(resume=True)`` restores the newest one, deletes artifact files
 written after the cut and continues, so the output stays exact.
@@ -119,31 +122,31 @@ class CrawlStats:
         }
 
 
-def make_link_router(frontier_handles, retry_policy: str):
-    """Stateless chunk-stage fn: candidate links and timeouts partition
-    by host (``host_shards_of_batch``) to the frontier shards — one
-    ``ingest`` and at most one ``keep_retry_batch`` per shard per chunk,
-    all FIRE-AND-FORGET from inside the task (a blocking ray.get in a
-    task pins its CPU slot and makes Ray spawn extra workers, silently
-    oversubscribing the node). Returns the chunk's counters (visited /
-    ok / timeout / error / links) so the crawl loop can settle them
-    against the shards; retry timestamps use the chunk's wall clock.
+def make_link_router(n_shards: int, retry_policy: str):
+    """Stateless chunk-stage fn: partitions the chunk's candidate links
+    and timeouts by host (``host_shards_of_batch``) over ``n_shards``
+    frontier shards and returns them with the chunk's counters (visited
+    / ok / timeout / error / links). It calls no shard: ``ingest`` holds
+    one ``(shard, urls, depths)`` payload per shard the links reach and
+    ``retry`` one ``(shard, [(url, depth, attempt)])`` per shard with
+    timeouts, and the crawl loop passes each on to its shard. The loop
+    is then every shard's only caller once seeding is done, so Ray runs
+    each shard's calls in the order they were sent, and a shard that
+    still lives in the loop's process (while its actor starts) takes
+    them the same way.
 
     An ``ingest`` payload is one ``str`` (the shard's links joined by
     newlines with ``pc.binary_join``) plus the depths as little-endian
     int32 bytes, so no Python object is made per link. No canonical URL
     holds a newline, but a custom fetch backend may return one; such a
     link (or a null) raises ``ValueError`` here, failing the chunk,
-    because a failed fire-and-forget ``ingest`` would leave the settle
-    loop waiting for links that never arrive. The payload is not Arrow:
-    the shard needs one Python ``str`` per link for its set check, and
+    since the payload cannot carry it. The payload is not Arrow: the
+    shard needs one Python ``str`` per link for its set check, and
     splitting one string makes them in C (see ``FrontierShard.ingest``)."""
-    n_shards = len(frontier_handles)
 
-    def route(batch: pa.Table) -> dict[str, int]:
+    def route(batch: pa.Table) -> dict:
         import pyarrow.compute as pc
 
-        batch_now = time.monotonic() * 1000.0
         st = batch.column("status")
         ok_mask = pc.equal(st, "ok")
         okb = ok_mask.to_numpy(zero_copy_only=False)
@@ -158,7 +161,8 @@ def make_link_router(frontier_handles, retry_policy: str):
         # ---- candidate links → their host's shard (first discovery wins
         # there): flatten the Arrow list column once, route it batch-wise,
         # join each shard's links into one string in one kernel call,
-        # ONE ingest message per shard
+        # ONE ingest payload per shard
+        ingest = []
         if n_links.sum():
             ok_tb = batch.filter(ok_mask)
             flat = pc.list_flatten(ok_tb.column("links")).combine_chunks()
@@ -181,8 +185,8 @@ def make_link_router(frontier_handles, retry_policy: str):
                         f"chunk part-{chunk_signature(batch)}: link {bad!r} "
                         "is null or holds a newline, which the shard "
                         "ingest payload cannot carry")
-                frontier_handles[s].ingest.remote(
-                    urls, depths[idx].astype("<i4", copy=False).tobytes())
+                ingest.append(
+                    (s, urls, depths[idx].astype("<i4", copy=False).tobytes()))
 
         # ---- timeouts → retry lanes (retry.rs:24-36 accounting); the
         # attempt number rides along so redelivered batches (Ray task
@@ -190,15 +194,16 @@ def make_link_router(frontier_handles, retry_policy: str):
         # retry accounting without coordination.
         to_mask = pc.equal(st, "timeout")
         n_to = int(pc.sum(to_mask).as_py() or 0)
+        retry = []
         if retry_policy != "no" and n_to:
             tt = batch.filter(to_mask)
             urls = tt.column("url").combine_chunks()
             depth = tt.column("depth").to_numpy(zero_copy_only=False)
             attempt = tt.column("attempt").to_numpy(zero_copy_only=False)
             for s, idx in _shard_runs(urls, n_shards):
-                items = list(zip(urls.take(pa.array(idx)).to_pylist(),
-                                 depth[idx].tolist(), attempt[idx].tolist()))
-                frontier_handles[s].keep_retry_batch.remote(items, batch_now)
+                retry.append((s, list(zip(urls.take(pa.array(idx)).to_pylist(),
+                                          depth[idx].tolist(),
+                                          attempt[idx].tolist()))))
 
         return {
             "visited": len(batch),
@@ -206,6 +211,8 @@ def make_link_router(frontier_handles, retry_policy: str):
             "timeout": n_to,
             "error": int(pc.sum(pc.equal(st, "error")).as_py() or 0),
             "links": int(n_links.sum()),
+            "ingest": ingest,
+            "retry": retry,
         }
 
     return route
@@ -237,9 +244,9 @@ def chunk_signature(batch: pa.Table) -> str:
 
 def make_persist_fn(run_dir: str):
     """Write each block to its own parquet file BEFORE the router stage:
-    'routed == dispatched' settlement then implies the artifacts of every
-    routed row are already on disk, which is what makes a mid-stream
-    checkpoint cut consistent (snapshot = shard state + file manifest)."""
+    every chunk the crawl loop has absorbed then has its artifacts on
+    disk, which is what makes a mid-stream checkpoint cut consistent
+    (snapshot = shard state + file manifest)."""
 
     def persist(batch: pa.Table) -> pa.Table:
         if len(batch):
@@ -307,6 +314,62 @@ def _run_stream_chunk(entries, fns_ref_box):
     return out
 
 
+class _Shards:
+    """Where each shard's state lives during ``run()``: in its
+    ``FrontierShard`` actor, or, while the actors start, in one
+    in-process shard per actor (``local``, built with the same
+    arguments). Every call goes to the current owner; ``hand_over``
+    moves each local shard into its actor with one ``restore``."""
+
+    def __init__(self, ray, actors: list, local: list | None = None):
+        self.ray = ray
+        self.actors = actors
+        self.local = local
+        # one real call per actor: it answers once the actor is up
+        self._up = [a.is_empty.remote() for a in actors] if local else []
+
+    def send(self, s: int, method: str, *args) -> None:
+        """``method(*args)`` on shard ``s``, its result unread."""
+        if self.local is None:
+            getattr(self.actors[s], method).remote(*args)
+        else:
+            getattr(self.local[s], method)(*args)
+
+    def call(self, method: str, args: list | None = None) -> list:
+        """``method`` on every shard, shard ``i`` with the arguments
+        ``args[i]`` (none by default); the results in shard order."""
+        args = args or [()] * len(self.actors)
+        if self.local is None:
+            return self.ray.get([getattr(a, method).remote(*x)
+                                 for a, x in zip(self.actors, args)])
+        return [getattr(sh, method)(*x) for sh, x in zip(self.local, args)]
+
+    def drain(self, budget: int, now_ms: float) -> list:
+        """One drain ref per shard: a local drain's result goes through
+        ``ray.put``, so the crawl loop waits on both kinds alike. The
+        third argument is the benchmark's traced drain override's
+        required per_host_cap (always None)."""
+        if self.local is None:
+            return [a.drain.remote(budget, now_ms, None) for a in self.actors]
+        return [self.ray.put(sh.drain(budget, now_ms, None))
+                for sh in self.local]
+
+    def hand_over(self, wait: bool) -> bool:
+        """Move every local shard, with its robots cache, into its actor
+        once all the actors answer (``wait``: block until they do).
+        True if this call handed them over."""
+        if self.local is None:
+            return False
+        up, _ = self.ray.wait(self._up, num_returns=len(self._up),
+                              timeout=None if wait else 0)
+        if len(up) < len(self._up):
+            return False
+        self.ray.get([a.restore.remote(sh.snapshot(), sh.robots_verdicts())
+                      for a, sh in zip(self.actors, self.local)])
+        self.local = None
+        return True
+
+
 class RayCrawler:
     """Scaled crawl over a synthetic world stored as Arrow tables."""
 
@@ -350,7 +413,10 @@ class RayCrawler:
         self._seeds_ds = seeds_ds
 
     # ------------------------------------------------------------------
-    def _spawn_state(self, ray):
+    def _spawn_state(self, ray, boot: bool):
+        """Start the shard actors; with ``boot``, also build one
+        in-process shard per actor for the crawl to run on until they
+        are up."""
         cfg = self.cfg
         # cuckoo capacity per seen partition, budgeted from the expected
         # crawl size: a fixed 1<<18 overflows into the exact stash at
@@ -360,35 +426,29 @@ class RayCrawler:
         else:
             cap = max(1 << 12, int(cfg.expected_total_urls * 1.3)
                       // cfg.num_frontier_shards)
-        # spawned through this module's global name, which the traced
+        args = [(i, cfg.retry_policy, cfg.retry_threshold_ms,
+                 cfg.retry_count, "lifo",
+                 self.robots_map if cfg.use_robots else None, cfg.robot,
+                 cfg.use_robots, cfg.host_rate_per_sec, cfg.host_burst,
+                 cfg.seen_mode, cap)
+                for i in range(cfg.num_frontier_shards)]
+        # built through this module's global name, which the traced
         # benchmark swaps for its subclass
         frontier_cls = ray.remote(FrontierShard)
-        self.frontier = [
-            frontier_cls.remote(
-                i,
-                cfg.retry_policy,
-                cfg.retry_threshold_ms,
-                cfg.retry_count,
-                "lifo",
-                self.robots_map if cfg.use_robots else None,
-                cfg.robot,
-                cfg.use_robots,
-                cfg.host_rate_per_sec,
-                cfg.host_burst,
-                cfg.seen_mode,
-                cap,
-            )
-            for i in range(cfg.num_frontier_shards)
-        ]
+        self.frontier = [frontier_cls.remote(*a) for a in args]
+        self._shards = _Shards(
+            ray, self.frontier,
+            [FrontierShard(*a) for a in args] if boot else None)
 
     def _seed_frontier(self, ray, seeds: list[str]) -> int:
         """Seed the sorted ``seeds``: one ``seed`` call per shard, each
         pushing its fresh URLs in sorted order (LIFO parity). Returns the
         number of fresh urls seeded."""
         urls = pa.array(seeds, pa.string())
-        return sum(ray.get([
-            self.frontier[s].seed.remote(urls.take(pa.array(idx)).to_pylist())
-            for s, idx in _shard_runs(urls, len(self.frontier))]))
+        per_shard = [([],) for _ in self.frontier]
+        for s, idx in _shard_runs(urls, len(per_shard)):
+            per_shard[s] = (urls.take(pa.array(idx)).to_pylist(),)
+        return sum(self._shards.call("seed", per_shard))
 
     def _seed_frontier_dataset(self, ray, ds) -> int:
         """Distributed bulk seeding: each batch task sends its urls to
@@ -444,11 +504,27 @@ class RayCrawler:
         exactly the shape the Dataset API can't express; per the design
         rules this drops to raw tasks.
 
+        Links and retries reach the shards through this loop: each
+        chunk returns its shards' payloads with its counters, and the
+        loop passes them on as it absorbs the chunk. After seeding it is
+        every shard's only caller, and Ray runs one caller's calls to an
+        actor in order, so an emptiness check or a checkpoint snapshot
+        sees every payload sent before it; nothing needs settling.
+
+        Boot: starting the shard actors takes about a second (a new Ray
+        worker process each). With a seed list the loop seeds the shards
+        itself, so until every actor answers its first call it holds
+        each shard's state in-process, built with the same arguments,
+        and crawls against it; then it hands each shard over with one
+        ``restore`` (plus the robots verdicts, so no robots.txt is
+        fetched twice). A crawl that ends first waits for the actors and
+        hands over before its final checkpoint, so the actors hold the
+        crawl's state when ``run()`` returns. Seeding from a Dataset
+        has no boot: its tasks seed the actors directly.
+
         Stats are exact and live: every chunk's counters return through
-        the task result (no fire-and-forget on the stats path) and are
-        added to ``self.stats`` as the chunk is absorbed; links/retries
-        settle against the shard counters before termination and before
-        every checkpoint.
+        the task result and are added to ``self.stats`` as the chunk is
+        absorbed.
 
         Artifact limit: with ``cfg.limit`` set, a poll drains at most
         ``max(limit, 1)`` minus the collected count minus the rows of
@@ -476,12 +552,14 @@ class RayCrawler:
         os.makedirs(self.out_dir, exist_ok=True)
         ckpt = (_newest_checkpoint(cfg)
                 if resume and cfg.checkpoint_dir else None)
-        self._spawn_state(ray)
+        self._spawn_state(ray, boot=self._seeds_ds is None)
+        shards = self._shards
 
         stats = self.stats = CrawlStats()
         run_idx = 0
         if ckpt is not None:
             run_idx = self._restore_checkpoint(ray, *ckpt)
+        visited0 = stats.visited
         seed_thread = None
         seed_box: dict = {}
         # Seed on EVERY run, not just run 0: seed pushes are idempotent
@@ -493,7 +571,7 @@ class RayCrawler:
             # OVERLAP bulk seeding with the crawl loop: the loop polls
             # drains while seed batches are still pushing, so the first
             # chunks execute during seeding instead of after it. The
-            # termination protocol below refuses to settle until the
+            # termination check below refuses to end the crawl until the
             # seeder has finished (a momentarily-empty frontier
             # mid-seeding is not termination).
             import threading
@@ -515,9 +593,9 @@ class RayCrawler:
             else:
                 seeds = clean_seeds(cfg.seeds, self.filters)
             if not seeds and run_idx == 0:
-                # nothing to do on a fresh run; a RESUME with no live
-                # seeds must still fall through to settle + report the
-                # restored stats
+                # nothing to do on a fresh run (the actors are as empty
+                # as the boot shards); a RESUME with no live seeds must
+                # still crawl what was restored and report its stats
                 return stats
             if seeds:
                 self._seed_frontier(ray, seeds)
@@ -536,7 +614,7 @@ class RayCrawler:
             fetch_fn = make_backend_fetch_fn(self.fetch_backend)
             validate_fn = identity_validate_fn
         persist_fn = make_persist_fn(run_dir)
-        route_fn = make_link_router(self.frontier, cfg.retry_policy)
+        route_fn = make_link_router(cfg.num_frontier_shards, cfg.retry_policy)
         # ship the stage closures ONCE; workers cache the deserialized
         # tuple per process (same pattern as the broadcast state caches)
         fns_ref = ray.put((fetch_fn, validate_fn, persist_fn, route_fn))
@@ -565,26 +643,35 @@ class RayCrawler:
         absorbed_chunks = 0
 
         inflight: dict = {}  # submitted, unabsorbed chunk ref → its rows
-        routed = self._routed = {"links": 0, "retries": 0}
+        # links counted by the chunks (the benchmark's runner reads it)
+        routed = self._routed = {"links": 0}
         stage_sec = dict.fromkeys(STAGES, 0.0)
 
         def absorb(done_refs):
+            """Count finished chunks and pass their payloads on to the
+            shards; retry times are stamped with this loop's clock, the
+            one its drains are given."""
             nonlocal absorbed_chunks
             absorbed_chunks += len(done_refs)
             for r in done_refs:
                 del inflight[r]
-            for c in ray.get(list(done_refs)):
+            chunks = ray.get(list(done_refs))
+            now_ms = time.monotonic() * 1000.0
+            for c in chunks:
                 stats.visited += c["visited"]
                 stats.collected += c["ok"]
                 routed["links"] += c["links"]
                 if cfg.retry_policy != "no":
                     stats.retries += c["timeout"]
-                    routed["retries"] += c["timeout"]
                 else:
                     stats.errors += c["timeout"]
                 stats.errors += c["error"]
                 for stage, sec in zip(STAGES, c["stage_sec"]):
                     stage_sec[stage] += sec
+                for s, urls, depths in c["ingest"]:
+                    shards.send(s, "ingest", urls, depths)
+                for s, items in c["retry"]:
+                    shards.send(s, "keep_retry_batch", items, now_ms)
 
         def issue_drains() -> list:
             budget = per_poll
@@ -593,36 +680,18 @@ class RayCrawler:
                 if budget <= 0:
                     return []  # the in-flight chunks may reach the goal
                 budget = max(1, budget // n_shards)
-            now_ms = time.monotonic() * 1000.0
-            # the third argument is the benchmark's traced drain
-            # override's required per_host_cap (always None)
-            return [f.drain.remote(budget, now_ms, None)
-                    for f in self.frontier]
+            return shards.drain(budget, time.monotonic() * 1000.0)
 
-        def poll_shards() -> tuple[bool, bool]:
-            """(settled, empty): every routed link and retry landed on
-            its shard; every shard's frontier is empty. One round trip
-            per shard."""
-            prog = ray.get([f.progress.remote() for f in self.frontier])
-            ingested, received, empty = zip(*prog)
-            return (sum(ingested) >= routed["links"]
-                    and sum(received) >= routed["retries"]), all(empty)
-
-        def settle():
-            t0 = time.monotonic()
-            while not poll_shards()[0]:
-                time.sleep(0.02)
-            _t["settle"] += time.monotonic() - t0
-
-        def settle_and_empty() -> bool:
-            """True when the crawl is done: seeding finished, everything
-            routed landed and all frontier shards are empty."""
+        def crawl_done() -> bool:
+            """True when seeding finished and every shard's frontier is
+            empty (the caller has absorbed every chunk). One call per
+            shard, run after every payload sent before it."""
             if seed_thread is not None and seed_thread.is_alive():
                 return False  # mid-seeding emptiness is not termination
             if "err" in seed_box:
                 raise seed_box["err"]
             t0 = time.monotonic()
-            done = all(poll_shards())
+            done = all(shards.call("is_empty"))
             _t["settle"] += time.monotonic() - t0
             return done
 
@@ -633,10 +702,19 @@ class RayCrawler:
                 absorb(done)
             # drained-but-unsubmitted entries (prefetch in flight) go back
             # to the shard they came from
-            back = [f.push.remote([(url, depth) for url, _at, depth in d])
-                    for f, d in zip(self.frontier, ray.get(drains)) if d]
-            ray.get(back)
+            for s, d in enumerate(ray.get(drains)):
+                if d:
+                    shards.send(s, "push",
+                                [(url, depth) for url, _at, depth in d])
             drains = []
+
+        boot_sec = boot_visited = 0
+
+        def hand_over(wait: bool) -> None:
+            nonlocal boot_sec, boot_visited
+            if shards.hand_over(wait):
+                boot_sec = time.monotonic() - t_start
+                boot_visited = stats.visited - visited0
 
         last_ckpt = time.monotonic()
         idle_sleep = 0.002
@@ -646,6 +724,7 @@ class RayCrawler:
         drains = issue_drains()
         while True:
             _t["loops"] += 1
+            hand_over(wait=False)
             if self._stop_requested or (
                     goal is not None and stats.collected >= goal):
                 break
@@ -716,7 +795,7 @@ class RayCrawler:
                 absorb(done)
                 _t["wait"] += time.monotonic() - _t0
             if n_new == 0 and not inflight:
-                if settle_and_empty():
+                if crawl_done():
                     break
                 _t["idle"] += idle_sleep
                 time.sleep(idle_sleep)
@@ -727,10 +806,9 @@ class RayCrawler:
                     and (seed_thread is None or not seed_thread.is_alive())
                     and time.monotonic() - last_ckpt
                     >= cfg.checkpoint_every_sec):
-                # settle only (emptiness not required for a periodic
-                # checkpoint)
+                # a quiesced cut; emptiness is not required for a
+                # periodic checkpoint
                 quiesce()
-                settle()
                 self._stream_checkpoint(ray, run_idx)
                 last_ckpt = time.monotonic()
             drains = issue_drains()
@@ -743,19 +821,21 @@ class RayCrawler:
             if "err" in seed_box:
                 raise seed_box["err"]
         quiesce()
+        # the crawl may end before the actors are up: they hold its state
+        # from here on (final checkpoint, seen_sets(), a later resume)
+        hand_over(wait=True)
         if cfg.checkpoint_dir:
             # final checkpoint on BOTH graceful stop and normal
             # completion: a finished run's seen/frontier state is what a
             # later resume=True warm-starts from (incremental recrawl —
             # re-seeded URLs dedup against the restored seen set, only
             # genuinely new seeds expand)
-            settle()
             self._stream_checkpoint(ray, run_idx)
         # one metrics row per run (north_rule audit trail): where the
         # crawl loop's time went, the summed in-task stage seconds, and the
         # seen partitions' occupancy (a nonzero stash means the cuckoo
         # capacity is undersized for this crawl)
-        occ = ray.get([f.occupancy.remote() for f in self.frontier])
+        occ = shards.call("occupancy")
         metrics = {
             "run_idx": run_idx,
             "run_dir": run_dir,
@@ -765,9 +845,13 @@ class RayCrawler:
             "wait_sec": round(_t["wait"], 3),
             "idle_sec": round(_t["idle"], 3),
             # run() start → seeding finished (bulk seeding overlaps the
-            # loop); time spent polling the shards to settle
+            # loop); time spent in emptiness checks
             "seed_sec": round(seed_box["done"] - t_start, 3),
             "settle_sec": round(_t["settle"], 3),
+            # run() start → the shards' handover to their actors, and the
+            # visits absorbed before it (0 and 0 without a boot)
+            "boot_sec": round(boot_sec, 3),
+            "boot_visited": boot_visited,
             "stage_sec": {k: round(v, 3) for k, v in stage_sec.items()},
             "stats": stats.as_dict(),
             "artifact_files": len(self._list_artifact_files()),
@@ -788,20 +872,20 @@ class RayCrawler:
         )
 
     def _stream_checkpoint(self, ray, run_idx: int):
-        """Quiesced checkpoint. The caller has already drained the
-        in-flight chunk window and settled the link/retry counters — and
-        persist runs BEFORE route inside each chunk, so every counted
-        row's artifact is on disk. Snapshot = shard state + the artifact
-        file manifest; a resume deletes files not in the manifest, so at
-        most one checkpoint interval of fetches is repeated and the
-        output stays exact."""
+        """Quiesced checkpoint. The caller has already absorbed the
+        in-flight chunk window and passed its payloads on to the shards,
+        whose snapshot calls run after them — and persist runs BEFORE
+        route inside each chunk, so every counted row's artifact is on
+        disk. Snapshot = shard state + the artifact file manifest; a
+        resume deletes files not in the manifest, so at most one
+        checkpoint interval of fetches is repeated and the output stays
+        exact."""
         cfg = self.cfg
         os.makedirs(cfg.checkpoint_dir, exist_ok=True)
         seq = getattr(self, "_ckpt_seq", 0)
         ckpt = os.path.join(cfg.checkpoint_dir, f"stream={seq:05d}")
         os.makedirs(ckpt, exist_ok=True)
-        blobs = ray.get([f.snapshot.remote() for f in self.frontier])
-        for i, b in enumerate(blobs):
+        for i, b in enumerate(self._shards.call("snapshot")):
             with open(os.path.join(ckpt, f"frontier_{i:03d}.pkl"), "wb") as fh:
                 fh.write(b)
         manifest = {
@@ -830,11 +914,11 @@ class RayCrawler:
         for rel in self._list_artifact_files():
             if rel not in keep:
                 os.unlink(os.path.join(self.out_dir, rel))
-        futs = []
-        for i, f in enumerate(self.frontier):
+        blobs = []
+        for i in range(len(self.frontier)):
             with open(os.path.join(ckpt, f"frontier_{i:03d}.pkl"), "rb") as fh:
-                futs.append(f.restore.remote(fh.read()))
-        ray.get(futs)
+                blobs.append((fh.read(),))
+        self._shards.call("restore", blobs)
         for key, value in manifest["stats"].items():
             setattr(self.stats, key, value)
         self._ckpt_seq = int(os.path.basename(ckpt).split("=")[1]) + 1
@@ -918,7 +1002,14 @@ def run_conformance(cfg: CrawlConfig, pages: pa.Table | None,
 
     ``fetch_backend`` (zero-arg factory) swaps in a custom transport
     (e.g. the loopback HttpFetcher); image validation is then skipped —
-    payload truth is a synthetic-world notion."""
+    payload truth is a synthetic-world notion.
+
+    The reference has no politeness, so a ``host_rate_per_sec`` is
+    refused rather than dropped."""
+    if cfg.host_rate_per_sec is not None:
+        raise ValueError(
+            f"host_rate_per_sec={cfg.host_rate_per_sec}: conformance mode "
+            "reproduces the reference's order, which has no politeness")
     filters = FilterSpec(tuple(cfg.ignore_regexes), cfg.allow_domains)
     if fetch_backend is not None:
         fetcher = fetch_backend()

@@ -48,20 +48,27 @@ class HostTokenBuckets:
     (ms) so tests are deterministic and checkpoints are portable: a clock
     that reads less than a host's ``last_ms`` (a resume after a reboot or
     on another machine restarts ``time.monotonic()``) refills nothing
-    rather than a negative amount."""
+    rather than a negative amount. A host with no entry has a full
+    bucket."""
 
     def __init__(self, rate_per_sec: float, burst: float):
         self.rate = rate_per_sec
         self.burst = burst
         self.tokens: dict[str, float] = {}
         self.last_ms: dict[str, float] = {}
+        # the newest time a release was tried at; not checkpointed, since
+        # a resumed run's clock may restart
+        self.newest_ms = float("-inf")
+
+    def _refilled(self, host: str, now_ms: float) -> float:
+        t = self.tokens.get(host, self.burst)
+        elapsed = max(0.0, now_ms - self.last_ms.get(host, now_ms))
+        return min(self.burst, t + elapsed * self.rate / 1000.0)
 
     def try_take(self, host: str, now_ms: float) -> bool:
-        t = self.tokens.get(host, self.burst)
-        last = self.last_ms.get(host, now_ms)
-        elapsed = max(0.0, now_ms - last)
-        t = min(self.burst, t + elapsed * self.rate / 1000.0)
+        t = self._refilled(host, now_ms)
         self.last_ms[host] = now_ms
+        self.newest_ms = max(self.newest_ms, now_ms)
         if t >= 1.0:
             self.tokens[host] = t - 1.0
             return True
@@ -69,6 +76,14 @@ class HostTokenBuckets:
         return False
 
     def state(self):
+        """The buckets as a picklable dict. Every host whose bucket has
+        refilled to ``burst`` by ``newest_ms`` is dropped first: the next
+        release comes no earlier, so it finds a full bucket with or
+        without the entry, and the entries stay bounded by the hosts
+        released recently instead of every host the crawl has seen."""
+        for host in [h for h in self.tokens
+                     if self._refilled(h, self.newest_ms) >= self.burst]:
+            del self.tokens[host], self.last_ms[host]
         return {"rate": self.rate, "burst": self.burst,
                 "tokens": self.tokens, "last_ms": self.last_ms}
 
@@ -246,9 +261,9 @@ class FrontierShard:
     partition of the same hosts (a SeenCore; see ``host_shard_of``) and
     this shard's robots cache (per-shard cache of the broadcast fixture
     map; at web scale this becomes a host-sharded robots actor pool —
-    the cache interface is the same). ``n_ingested`` and
-    ``n_retry_received`` count what the link router sent, so the crawl
-    loop can settle a crawl with one ``progress`` call per shard."""
+    the cache interface is the same). The crawl loop is a shard's only
+    caller once it is seeded, so its calls run in the order they were
+    sent."""
 
     def __init__(
         self,
@@ -272,8 +287,6 @@ class FrontierShard:
             self.core.set_politeness(host_rate_per_sec, host_burst)
         self.seen = SeenCore(seen_mode, seen_capacity, shard_id)
         self.robot = robot
-        self.n_ingested = 0
-        self.n_retry_received = 0
         if not use_robots:
             self.robots = None
         elif callable(robots_map):
@@ -318,13 +331,11 @@ class FrontierShard:
         d = array("i", depths)
         if sys.byteorder != "little":
             d.byteswap()
-        self.n_ingested += len(urls)
         self._push_fresh(urls, d)
 
     def keep_retry_batch(self, items, now_ms: float) -> int:
         """items: [(url, depth)] or [(url, depth, attempt)] — returns how
         many were re-queued (rest gave up or were duplicates)."""
-        self.n_retry_received += len(items)
         kept = 0
         for it in items:
             url, depth = it[0], it[1]
@@ -332,9 +343,8 @@ class FrontierShard:
             kept += bool(self.core.keep_retry(url, depth, now_ms, attempt))
         return kept
 
-    def progress(self) -> tuple[int, int, bool]:
-        """(links ingested, timeouts received, frontier empty)."""
-        return self.n_ingested, self.n_retry_received, self.core.is_empty()
+    def is_empty(self) -> bool:
+        return self.core.is_empty()
 
     # per_host_cap stays only for perfbench's TracedFrontierShard.drain,
     # which passes it through positionally
@@ -356,7 +366,17 @@ class FrontierShard:
         return pickle.dumps((self.core.snapshot(), self.seen.snapshot()),
                             protocol=pickle.HIGHEST_PROTOCOL)
 
-    def restore(self, blob: bytes) -> None:
+    def robots_verdicts(self) -> dict:
+        """The robots cache's verdicts per (host, robot), for handing
+        this shard to another process without refetching a robots.txt."""
+        return {} if self.robots is None else self.robots._cache
+
+    def restore(self, blob: bytes,
+                robots_verdicts: dict | None = None) -> None:
+        """Replace the state with a ``snapshot``; ``robots_verdicts``
+        (another process's ``robots_verdicts()``) join the robots cache."""
         frontier, seen = pickle.loads(blob)
         self.core.restore(frontier)
         self.seen.restore(seen)
+        if robots_verdicts and self.robots is not None:
+            self.robots._cache.update(robots_verdicts)

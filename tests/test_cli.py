@@ -126,6 +126,18 @@ def test_cli_host_rate_reaches_the_crawl(world_dir, tmp_path):
     assert (buckets["rate"], buckets["burst"]) == (20.0, 4.0)
 
 
+def test_cli_conformance_refuses_host_rate(world_dir):
+    """``--conformance --host-rate R`` fails instead of silently
+    crawling unthrottled."""
+    d, w = world_dir
+    seeds = w.seeds.column("url").to_pylist()
+    r = run_cli(["--world", d, "--conformance", "--host-rate", "2",
+                 "--retry-threshold-ms", "0", *seeds])
+    assert r.returncode != 0
+    assert "host_rate_per_sec" in r.stderr
+    assert "Statistics:" not in r.stderr
+
+
 def test_cli_limit_zero_quirk(world_dir, tmp_path):
     d, w = world_dir
     seeds = w.seeds.column("url").to_pylist()

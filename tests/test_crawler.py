@@ -55,6 +55,15 @@ def test_conformance_mode_matches_oracle(wi, ci):
             assert c["caption_ok"] and c["pixel_ok"]
 
 
+def test_conformance_refuses_politeness():
+    """The reference has no politeness, so conformance mode refuses a
+    host rate instead of crawling unthrottled."""
+    w = build_world(WORLDS[0])
+    with pytest.raises(ValueError, match="host_rate_per_sec"):
+        run_conformance(_cfg(w, host_rate_per_sec=2.0), w.pages, w.images,
+                        w.robots_map(), WORLDS[0].seed)
+
+
 def test_conformance_deep_retry_world():
     w = build_world(WorldParams(seed=5, n_hosts=4, pages_per_host=15,
                                 fanout=4, p_timeout=0.25, max_fail=4))
@@ -217,8 +226,9 @@ def test_scaled_resume_from_checkpoint(ray_session, tmp_path):
 @pytest.mark.parametrize("kind", ["limit", "bulk", "organic"])
 def test_stream_metrics_schema(ray_session, tmp_path, kind):
     """Every run mode appends the same ``_stream_metrics.jsonl`` row: the
-    crawl-loop timers, the summed in-task stage seconds, the seen
-    occupancy and the run's stats, equal to what ``run()`` returned."""
+    crawl-loop timers, the boot (none when a Dataset seeds the actors),
+    the summed in-task stage seconds, the seen occupancy and the run's
+    stats, equal to what ``run()`` returned."""
     import json
 
     import ray.data as rd
@@ -240,9 +250,15 @@ def test_stream_metrics_schema(ray_session, tmp_path, kind):
     assert len(rows) == 1
     row = rows[0]
     assert {"run_idx", "run_dir", "chunks", "loops", "drain_sec",
-            "wait_sec", "idle_sec", "seed_sec", "settle_sec", "stage_sec",
-            "stats", "artifact_files", "seen_count", "seen_stash"} <= set(row)
+            "wait_sec", "idle_sec", "seed_sec", "settle_sec", "boot_sec",
+            "boot_visited", "stage_sec", "stats", "artifact_files",
+            "seen_count", "seen_stash"} <= set(row)
     assert 0 <= row["seed_sec"] and 0 <= row["settle_sec"]
+    if kind == "bulk":
+        assert row["boot_sec"] == row["boot_visited"] == 0
+    else:
+        assert row["boot_sec"] > 0
+        assert 0 <= row["boot_visited"] <= stats.visited
     assert set(row["stage_sec"]) == {"table", "fetch", "validate",
                                      "persist", "route"}
     assert all(v >= 0 for v in row["stage_sec"].values())
@@ -603,3 +619,141 @@ def test_resume_refuses_a_checkpoint_it_cannot_route(ray_session, tmp_path,
     with open(path, "w") as fh:
         json.dump(untouched, fh)
     assert mk().run(resume=True).as_dict() == stats
+
+
+# ---------------------------------------------------------------------------
+# the boot: the crawl runs on in-process shards until the actors are up
+# ---------------------------------------------------------------------------
+
+
+def _slow_start_shard(delay_s: float):
+    """A FrontierShard subclass whose actors start ``delay_s`` late; the
+    in-process shards the crawl loop builds in this process do not
+    wait. Defined in a function, so Ray ships it by value."""
+    import time as _time
+
+    from doonop_ray.state.frontier import FrontierShard
+
+    driver = os.getpid()
+
+    class SlowStartShard(FrontierShard):
+        def __init__(self, *a, **kw):
+            if os.getpid() != driver:
+                _time.sleep(delay_s)
+            super().__init__(*a, **kw)
+
+    return SlowStartShard
+
+
+def _boot_crawler(monkeypatch, tmp_path, tag, robots=None, **kw):
+    """A throttled crawl of WORLDS[1] on two shards whose actors start
+    late (swapped in through the module global, as the traced benchmark
+    does), so the handover lands mid-crawl."""
+    from doonop_ray.pipelines import crawler as crawler_mod
+
+    monkeypatch.setattr(crawler_mod, "FrontierShard", _slow_start_shard(0.5))
+    w = build_world(WORLDS[1])
+    cfg = _cfg(w, use_robots=True, engines=2, fetch_batch_size=4,
+               num_frontier_shards=2, host_rate_per_sec=6.0, **kw)
+    oracle = run_oracle(cfg, w.pages_by_url(), w.robots_map())
+    crawler = RayCrawler(cfg, w.pages, w.images, robots or w.robots_map(),
+                         str(tmp_path / f"out_{tag}"),
+                         world_seed=WORLDS[1].seed)
+    return crawler, oracle
+
+
+def _metrics_row(crawler) -> dict:
+    import json
+
+    with open(os.path.join(crawler.out_dir, "_stream_metrics.jsonl")) as fh:
+        return json.loads(fh.read().splitlines()[-1])
+
+
+def _assert_matches_oracle(crawler, stats, oracle) -> None:
+    import pyarrow.parquet as pq
+
+    assert stats.as_dict() == oracle.stats()
+    assert crawler.seen_sets() == oracle.seen
+    t = pq.read_table(crawler.out_dir, columns=["url"])
+    assert t.num_rows == stats.visited
+    assert set(t.column("url").to_pylist()) == set(oracle.order)
+
+
+def test_mid_crawl_handover_matches_oracle(ray_session, tmp_path,
+                                           monkeypatch):
+    """The crawl starts on in-process shards and hands them to the
+    actors part-way through: stats, seen set and artifact rows are the
+    oracle's, and some but not all visits came before the handover."""
+    crawler, oracle = _boot_crawler(monkeypatch, tmp_path, "run")
+    with crawler:
+        stats = crawler.run()
+        _assert_matches_oracle(crawler, stats, oracle)
+    row = _metrics_row(crawler)
+    assert 0 < row["boot_visited"] < stats.visited
+    assert 0 < row["boot_sec"]
+
+
+def test_checkpoint_taken_during_boot_resumes_to_the_oracle(
+        ray_session, tmp_path, monkeypatch):
+    """Resuming from a checkpoint whose snapshots came from the
+    in-process shards (every later checkpoint deleted, as if the crawl
+    had died then) ends at the oracle's result."""
+    import shutil
+
+    crawler, oracle = _boot_crawler(
+        monkeypatch, tmp_path, "run", checkpoint_dir=str(tmp_path / "ckpt"),
+        checkpoint_every_sec=0.1)
+    in_boot = []
+    take = crawler._stream_checkpoint
+
+    def checkpoint(ray, run_idx):
+        in_boot.append(crawler._shards.local is not None)
+        take(ray, run_idx)
+
+    crawler._stream_checkpoint = checkpoint
+    with crawler:
+        crawler.run()
+    assert _metrics_row(crawler)["boot_visited"] > 0
+    last_boot = max(i for i, b in enumerate(in_boot) if b)
+    assert last_boot < len(in_boot) - 1
+    for i in range(last_boot + 1, len(in_boot)):
+        shutil.rmtree(tmp_path / "ckpt" / f"stream={i:05d}")
+    monkeypatch.undo()
+    resumed = RayCrawler(crawler.cfg, crawler.pages, crawler.images,
+                         crawler.robots_map, crawler.out_dir,
+                         world_seed=WORLDS[1].seed)
+    with resumed:
+        stats = resumed.run(resume=True)
+        _assert_matches_oracle(resumed, stats, oracle)
+
+
+def test_robots_fetched_once_per_host_across_the_handover(
+        ray_session, tmp_path, monkeypatch):
+    """The in-process shards hand their robots verdicts to the actors:
+    a counting robots backend sees each host fetched once per crawl, in
+    whichever process first needed it."""
+    from doonop_ray.robots import make_table_fetcher
+
+    log = str(tmp_path / "robots.log")
+    table = build_world(WORLDS[1]).robots_map()
+
+    def counting_backend():
+        fetch = make_table_fetcher(table)
+
+        def counted(host):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {host}\n")
+            return fetch(host)
+
+        return counted
+
+    crawler, oracle = _boot_crawler(monkeypatch, tmp_path, "run",
+                                    robots=counting_backend)
+    with crawler:
+        stats = crawler.run()
+        _assert_matches_oracle(crawler, stats, oracle)
+    assert 0 < _metrics_row(crawler)["boot_visited"] < stats.visited
+    with open(log) as fh:
+        hosts = [line.split()[1] for line in fh]
+    assert sorted(hosts) == sorted(set(hosts))
+    assert set(hosts) == {u.split("/")[2] for u in oracle.seen}

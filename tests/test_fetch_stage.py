@@ -4,7 +4,6 @@ reference, non-ok rows carry no links, and part files get a
 deterministic name."""
 
 import os
-import types
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -142,57 +141,47 @@ def _shard():
     return FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False)
 
 
-class _InProcessHandle:
-    """Stands in for a shard actor handle: ``ingest.remote`` records the
-    payload and calls an in-process ``FrontierShard``."""
-
-    def __init__(self):
-        self.shard = _shard()
-        self.payloads = []
-        self.ingest = types.SimpleNamespace(remote=self._ingest)
-        self.keep_retry_batch = types.SimpleNamespace(
-            remote=self.shard.keep_retry_batch)
-
-    def _ingest(self, urls, depths):
-        self.payloads.append((urls, depths))
-        self.shard.ingest(urls, depths)
-
-
 @pytest.mark.parametrize("n_shards", [1, 3])
 def test_router_sends_one_string_per_shard_and_pushes_as_the_list_path(
         n_shards):
-    """Each shard gets one ``str`` + ``bytes`` payload per chunk, and
-    pushes exactly what the per-link list payload pushed: the same
-    urls and depths in the same order, the same ``n_ingested``."""
+    """The router returns one ``str`` + ``bytes`` payload per shard the
+    chunk's links reach, and ingesting it pushes exactly what the
+    per-link list payload pushed: the same urls and depths in the same
+    order. Each timeout goes to its host's shard as (url, depth,
+    attempt)."""
     urls = WORLD.pages.column("url").to_pylist()
     batch = Fetcher(WORLD.pages, FilterSpec())(_batch(urls))
     batch = batch.set_column(2, "depth", pa.array(
         [i % 4 for i in range(len(urls))], pa.int32()))
-    handles = [_InProcessHandle() for _ in range(n_shards)]
-    counters = make_link_router(handles, "first")(batch)
+    counters = make_link_router(n_shards, "first")(batch)
+    payloads = {s: (u, d) for s, u, d in counters["ingest"]}
+    assert len(payloads) == len(counters["ingest"])  # one per shard
 
     # the list path: every ok row's links, in row order, to its host's
     # shard, each at the row's depth + 1
     want = [([], []) for _ in range(n_shards)]
-    for st, ls, d in zip(batch.column("status").to_pylist(),
-                         batch.column("links").to_pylist(),
-                         batch.column("depth").to_pylist()):
-        for u in (ls if st == "ok" else []):
-            want[host_shard_of(u, n_shards)][0].append(u)
-            want[host_shard_of(u, n_shards)][1].append(d + 1)
+    want_retry = [[] for _ in range(n_shards)]
+    for u, st, ls, d, at in zip(*(batch.column(c).to_pylist() for c in (
+            "url", "status", "links", "depth", "attempt"))):
+        for link in (ls if st == "ok" else []):
+            want[host_shard_of(link, n_shards)][0].append(link)
+            want[host_shard_of(link, n_shards)][1].append(d + 1)
+        if st == "timeout":
+            want_retry[host_shard_of(u, n_shards)].append((u, d, at))
     assert counters["links"] == sum(len(w[0]) for w in want) > 0
-    for h, (w_urls, w_depths) in zip(handles, want):
-        ref = _shard()
-        ref.n_ingested += len(w_urls)
-        ref._push_fresh(w_urls, w_depths)
+    for s, (w_urls, w_depths) in enumerate(want):
         if not w_urls:
-            assert h.payloads == []
+            assert s not in payloads
             continue
-        assert len(h.payloads) == 1
-        payload_urls, payload_depths = h.payloads[0]
+        payload_urls, payload_depths = payloads[s]
         assert type(payload_urls) is str and type(payload_depths) is bytes
-        assert h.shard.n_ingested == ref.n_ingested
-        assert h.shard.core.heap == ref.core.heap
+        got, ref = _shard(), _shard()
+        got.ingest(payload_urls, payload_depths)
+        ref._push_fresh(w_urls, w_depths)
+        assert got.core.heap == ref.core.heap
+    retry = dict(counters["retry"])
+    assert sum(map(len, want_retry)) == counters["timeout"] > 0
+    assert retry == {s: w for s, w in enumerate(want_retry) if w}
 
 
 @pytest.mark.parametrize("bad", ["https://h000.example.com/a\nb", None])
@@ -205,7 +194,5 @@ def test_router_refuses_a_link_its_payload_cannot_carry(bad):
         "links": pa.array([["https://h000.example.com/ok", bad]],
                           pa.list_(pa.string())),
     })
-    handles = [_InProcessHandle()]
     with pytest.raises(ValueError, match="chunk part-.*newline"):
-        make_link_router(handles, "first")(batch)
-    assert handles[0].payloads == []
+        make_link_router(1, "first")(batch)

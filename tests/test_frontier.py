@@ -328,14 +328,14 @@ def test_frontier_shard_owns_its_seen_partition():
     s = shard()
     assert s.seed(["u1", "u2", "u1"]) == 2
     s.ingest(*_links(["u2", "u3"], [1, 1]))
-    assert s.progress() == (2, 0, False)
+    assert not s.is_empty()
     t = shard()
     t.restore(s.snapshot())
     t.ingest(*_links(["u3", "u4"], [2, 2]))  # u3 is in the restored seen set
     assert t.seen_urls() == {"u1", "u2", "u3", "u4"}
     assert t.drain(10, 0.0, None) == [("u4", 0, 2), ("u3", 0, 1),
                                       ("u2", 0, 0), ("u1", 0, 0)]
-    assert t.progress() == (2, 0, True)
+    assert t.is_empty()
 
 
 def test_exact_shard_imports_neither_numpy_nor_pyarrow():
@@ -363,3 +363,50 @@ print(sorted(m for m in ("numpy", "pyarrow") if m in sys.modules))
                          env=dict(os.environ, PYTHONPATH=root),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_bucket_state_drops_hosts_refilled_to_burst():
+    """50,000 one-page hosts drained empty at 10/s over five seconds:
+    ``state()`` keeps only the hosts released in the last 100 ms, whose
+    buckets have not refilled yet (all 50,000 before)."""
+    import pickle
+
+    s = FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False,
+                      host_rate_per_sec=10.0, host_burst=4.0)
+    s.seed([f"https://h{i}.com/" for i in range(50_000)])
+    for k in range(50):
+        assert len(s.drain(1000, 100.0 * k, None)) == 1000
+    assert s.is_empty()
+    state = s.core.buckets.state()
+    assert len(state["tokens"]) == len(state["last_ms"]) == 1000
+    assert len(pickle.dumps(state)) < 100_000
+
+
+def test_bucket_releases_unchanged_by_a_snapshot_round_trip():
+    """The same drains with and without a snapshot→restore in the
+    middle release the same entries at the same times, although the
+    snapshot dropped the hosts whose buckets had refilled."""
+
+    def shard():
+        s = FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False,
+                          host_rate_per_sec=4.0, host_burst=2.0)
+        # host j holds 2 + 3j pages, so hosts run dry at different times
+        s.seed([f"https://h{j}.com/{i}" for j in range(7)
+                for i in range(2 + 3 * j)])
+        return s
+
+    times = [0.0, 90.0, 250.0, 260.0, 700.0, 1500.0, 1600.0, 2400.0,
+             4000.0, 4100.0] + [5000.0 + 250.0 * k for k in range(20)]
+    a, b = shard(), shard()
+    got_a = [a.drain(10, t, None) for t in times]
+    got_b = []
+    for k, t in enumerate(times):
+        if k == 6:
+            before = len(b.core.buckets.tokens)
+            c = shard()
+            c.restore(b.snapshot())
+            assert len(c.core.buckets.tokens) < before
+            b = c
+        got_b.append(b.drain(10, t, None))
+    assert got_a == got_b
+    assert a.is_empty() and b.is_empty()
