@@ -127,7 +127,8 @@ def run_bench(sf_dir: str, num_cpus: int, include_ops: bool = True) -> dict:
             with open(os.path.join(out_dir, "_stream_metrics.jsonl")) as fh:
                 row = json.loads(fh.read().splitlines()[-1])
             stages = {k: row[k] for k in ("stage_sec", "seed_sec",
-                                          "settle_sec")}
+                                          "settle_sec", "boot_sec",
+                                          "boot_visited", "idle_sec")}
     crawl_sec = min(runs)
     visited = len(df)
     ok = df[df["status"] == "ok"]

@@ -38,7 +38,7 @@ import sys
 from array import array
 
 from ..robots import RobotsCache, make_table_fetcher
-from ..url import host_of, path_of
+from ..url import host_path_of
 from .seen import SeenCore
 
 
@@ -195,13 +195,15 @@ class FrontierCore:
             if got is None:
                 break
             url, depth = got
+            if robots is not None or self.buckets is not None:
+                host, path = host_path_of(url)  # one urlsplit for both
             if robots is not None:
-                verdict = robots.is_allowed(robot, host_of(url), path_of(url))
+                verdict = robots.is_allowed(robot, host, path)
                 if verdict is not True:
                     self.robots_dropped += 1
                     continue  # silently dropped; stays in seen
             if self.buckets is not None:
-                if not self.buckets.try_take(host_of(url), now_ms):
+                if not self.buckets.try_take(host, now_ms):
                     deferred.append((url, depth))
                     continue
             out.append((url, self.retry_counts.get(url, 0), depth))
@@ -262,7 +264,7 @@ class FrontierShard:
     this shard's robots cache (per-shard cache of the broadcast fixture
     map; at web scale this becomes a host-sharded robots actor pool —
     the cache interface is the same). The crawl loop is a shard's only
-    caller once it is seeded, so its calls run in the order they were
+    caller from its first call, so its calls run in the order they were
     sent."""
 
     def __init__(

@@ -94,6 +94,15 @@ def path_of(url: str) -> str:
     return p or "/"
 
 
+def host_path_of(url: str) -> tuple[str, str]:
+    """``(host_of(url), path_of(url))`` from one ``urlsplit``."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        return "", "/"
+    return (parts.hostname or "").lower(), parts.path or "/"
+
+
 def make_absolute(base: str, href: str) -> str | None:
     """Reference semantics (engine.rs:59-68): absolute parse first; a
     scheme-less href joins against the base; anything else drops."""
@@ -173,7 +182,7 @@ def make_absolute_batch(bases, hrefs):
     flat string array aligned with ``pc.list_flatten(hrefs)``: the
     absolute canonical URL, or null where ``make_absolute`` drops the
     href. Arrow is imported here, not at module level: the frontier
-    actors import this module for ``host_of`` only."""
+    actors import this module for ``host_path_of`` only."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc

@@ -226,9 +226,9 @@ def test_scaled_resume_from_checkpoint(ray_session, tmp_path):
 @pytest.mark.parametrize("kind", ["limit", "bulk", "organic"])
 def test_stream_metrics_schema(ray_session, tmp_path, kind):
     """Every run mode appends the same ``_stream_metrics.jsonl`` row: the
-    crawl-loop timers, the boot (none when a Dataset seeds the actors),
-    the summed in-task stage seconds, the seen occupancy and the run's
-    stats, equal to what ``run()`` returned."""
+    crawl-loop timers, the boot (a seed Dataset's crawl boots too), the
+    summed in-task stage seconds, the seen occupancy and the run's stats,
+    equal to what ``run()`` returned."""
     import json
 
     import ray.data as rd
@@ -254,11 +254,8 @@ def test_stream_metrics_schema(ray_session, tmp_path, kind):
             "boot_visited", "stage_sec", "stats", "artifact_files",
             "seen_count", "seen_stash"} <= set(row)
     assert 0 <= row["seed_sec"] and 0 <= row["settle_sec"]
-    if kind == "bulk":
-        assert row["boot_sec"] == row["boot_visited"] == 0
-    else:
-        assert row["boot_sec"] > 0
-        assert 0 <= row["boot_visited"] <= stats.visited
+    assert row["boot_sec"] > 0
+    assert 0 <= row["boot_visited"] <= stats.visited
     assert set(row["stage_sec"]) == {"table", "fetch", "validate",
                                      "persist", "route"}
     assert all(v >= 0 for v in row["stage_sec"].values())
@@ -645,20 +642,41 @@ def _slow_start_shard(delay_s: float):
     return SlowStartShard
 
 
-def _boot_crawler(monkeypatch, tmp_path, tag, robots=None, **kw):
+def _seed_blocks(urls: list[str], copies: int):
+    """A seed Dataset of ``copies`` one-block copies of ``urls``: past
+    8,192 rows it spans several seed batches, each a run of payloads,
+    and every URL recurs across blocks and batches."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    block = pa.table({"url": pa.array(urls, pa.string())})
+    return rd.from_arrow([block] * copies)
+
+
+def _boot_crawler(monkeypatch, tmp_path, tag, robots=None, bulk=0, **kw):
     """A throttled crawl of WORLDS[1] on two shards whose actors start
     late (swapped in through the module global, as the traced benchmark
-    does), so the handover lands mid-crawl."""
+    does), so the handover lands mid-crawl. With ``bulk``, every page
+    URL is seeded from a Dataset of ``bulk`` copies instead of the seed
+    list, and the oracle is seeded with them as a list."""
+    import dataclasses
+
     from doonop_ray.pipelines import crawler as crawler_mod
 
     monkeypatch.setattr(crawler_mod, "FrontierShard", _slow_start_shard(0.5))
     w = build_world(WORLDS[1])
+    if bulk:
+        kw["seeds"] = w.pages.column("url").to_pylist()
     cfg = _cfg(w, use_robots=True, engines=2, fetch_batch_size=4,
                num_frontier_shards=2, host_rate_per_sec=6.0, **kw)
     oracle = run_oracle(cfg, w.pages_by_url(), w.robots_map())
+    seeds_ds = None
+    if bulk:
+        seeds_ds = _seed_blocks(cfg.seeds, bulk)
+        cfg = dataclasses.replace(cfg, seeds=[])
     crawler = RayCrawler(cfg, w.pages, w.images, robots or w.robots_map(),
                          str(tmp_path / f"out_{tag}"),
-                         world_seed=WORLDS[1].seed)
+                         world_seed=WORLDS[1].seed, seeds_ds=seeds_ds)
     return crawler, oracle
 
 
@@ -757,3 +775,180 @@ def test_robots_fetched_once_per_host_across_the_handover(
         hosts = [line.split()[1] for line in fh]
     assert sorted(hosts) == sorted(set(hosts))
     assert set(hosts) == {u.split("/")[2] for u in oracle.seen}
+
+
+def test_bulk_handover_mid_crawl_matches_oracle(ray_session, tmp_path,
+                                                monkeypatch):
+    """A crawl seeded from a Dataset boots too: the loop passes the seed
+    payloads on to the in-process shards, crawls, and hands the shards
+    to the actors part-way through. Stats, seen set and artifact rows
+    are the oracle's, and some but not all visits came before the
+    handover."""
+    crawler, oracle = _boot_crawler(monkeypatch, tmp_path, "run", bulk=150)
+    assert crawler._seeds_ds.count() > 8192  # two seed batches
+    with crawler:
+        stats = crawler.run()
+        _assert_matches_oracle(crawler, stats, oracle)
+    row = _metrics_row(crawler)
+    assert 0 < row["boot_visited"] < stats.visited
+    assert 0 < row["boot_sec"]
+
+
+def _slow_seed_payloads(delay_s: float):
+    """``shard_payloads`` slowed by ``delay_s`` per seed batch (links
+    are not slowed). Defined in a function, so Ray ships it by value."""
+    import time as _time
+
+    from doonop_ray.pipelines.crawler import shard_payloads
+
+    def slow(urls, depths, n_shards, what):
+        if what == "seed":
+            _time.sleep(delay_s)
+        return shard_payloads(urls, depths, n_shards, what)
+
+    return slow
+
+
+def test_stop_mid_seeding_returns_and_resumes_to_the_oracle(
+        ray_session, tmp_path, monkeypatch):
+    """A stop requested while seed batches are still running: ``run()``
+    keeps passing seed payloads on until the seeder ends (more of them
+    than the loop's queue holds, so a seeder left blocked on it would
+    never end), then checkpoints and returns. A resume from that
+    checkpoint ends at the oracle's result."""
+    import threading
+    import time as _time
+
+    from doonop_ray.pipelines import crawler as crawler_mod
+
+    crawler, oracle = _boot_crawler(
+        monkeypatch, tmp_path, "run", bulk=8 * 140,
+        checkpoint_dir=str(tmp_path / "ckpt"))
+    monkeypatch.setattr(crawler_mod, "shard_payloads",
+                        _slow_seed_payloads(0.6))
+    seeded_at = []
+    seed = crawler._seed_frontier_dataset
+
+    def timed_seed(*a):
+        seed(*a)
+        seeded_at.append(_time.monotonic())
+
+    crawler._seed_frontier_dataset = timed_seed
+    stopped_at = []
+    stop = crawler.request_stop
+
+    def timed_stop():
+        stopped_at.append(_time.monotonic())
+        stop()
+
+    crawler.request_stop = timed_stop
+    runner = threading.Thread(target=_stop_after_first_part, args=(crawler,),
+                              daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "run() did not return after the stop"
+    assert stopped_at[0] < seeded_at[0]  # the stop came mid-seeding
+    assert 0 < crawler.stats.visited < oracle.stats()["visited"]
+    crawler.close()
+    monkeypatch.undo()
+    resumed = RayCrawler(crawler.cfg, crawler.pages, crawler.images,
+                         crawler.robots_map, crawler.out_dir,
+                         world_seed=WORLDS[1].seed,
+                         seeds_ds=crawler._seeds_ds)
+    with resumed:
+        stats = resumed.run(resume=True)
+        _assert_matches_oracle(resumed, stats, oracle)
+
+
+def test_a_failed_crawl_ends_its_seeder(ray_session, tmp_path, monkeypatch):
+    """A crawl that fails while seed batches are still running (here
+    every chunk's router raises) leaves no seeder thread behind, though
+    more seed payloads were to come than the loop's queue holds."""
+    import threading
+
+    from doonop_ray.pipelines import crawler as crawler_mod
+
+    def failing_router(n_shards, retry_policy):
+        def route(batch):
+            raise RuntimeError("router failed")
+
+        return route
+
+    crawler, _ = _boot_crawler(monkeypatch, tmp_path, "run", bulk=8 * 140)
+    monkeypatch.setattr(crawler_mod, "shard_payloads",
+                        _slow_seed_payloads(0.2))
+    monkeypatch.setattr(crawler_mod, "make_link_router", failing_router)
+    seeders = []
+    seed = crawler._seed_frontier_dataset
+
+    def recorded(*a):
+        seeders.append(threading.current_thread())
+        seed(*a)
+
+    crawler._seed_frontier_dataset = recorded
+    with crawler, pytest.raises(Exception, match="router failed"):
+        crawler.run()
+    seeders[0].join(timeout=30)
+    assert not seeders[0].is_alive()
+
+
+@pytest.mark.parametrize("bad", ["https://h000.example.com/a\nhttps://x",
+                                 None], ids=["newline", "None"])
+def test_dataset_seed_refuses_a_url_its_payload_cannot_carry(
+        ray_session, tmp_path, bad):
+    """With ``seeds_canonical`` the clean pass is skipped, so a seed
+    reaches the payload as given. A null or a newline cannot travel in
+    the newline-joined payload (it would arrive as no URL, or as two):
+    the seed task raises ``ValueError`` naming it, and the crawl fails
+    with it (wrapped by Ray Data)."""
+    import re
+
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from doonop_ray.pipelines.crawler import shard_payloads
+
+    urls = ["https://h001.example.com/", bad, "https://h002.example.com/"]
+    for n_shards in (1, 3):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed {bad!r} is null or holds a newline")):
+            shard_payloads(pa.array(urls, pa.string()),
+                           np.zeros(3, np.int32), n_shards, "seed")
+    w = build_world(WORLDS[0])
+    cfg = _cfg(w, seeds=[], seeds_canonical=True, engines=2,
+               num_frontier_shards=2)
+    crawler = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
+                         str(tmp_path / "out"), world_seed=WORLDS[0].seed,
+                         seeds_ds=rd.from_arrow(pa.table({"url": urls})))
+    with crawler, pytest.raises(Exception) as info:
+        crawler.run()
+    # Ray Data re-raises a task's error with its traceback as the text
+    assert f"ValueError: seed {bad!r} is null" in str(info.value)
+
+
+def test_dataset_seeding_through_the_clean_pass_equals_list_seeding(
+        ray_session, tmp_path):
+    """Non-canonical seeds with duplicates, an ignore regex, and every
+    seed recurring across Dataset blocks and batches: seeding them from
+    a Dataset (each batch cleaned in its task, duplicates across batches
+    dropped by the shards' seen sets) gives list seeding's stats and
+    seen set."""
+    import dataclasses
+
+    w = build_world(WORLDS[1])
+    pages = w.pages.column("url").to_pylist()
+    raw = pages[::3] + [u.upper().replace("/P/", "/p/") for u in pages[::5]] \
+        + [u + "/../p/1" for u in pages[:4]] + ["not a url"]
+    cfg = _cfg(w, seeds=raw, seeds_canonical=False,
+               ignore_regexes=(r"/p/1$",), engines=2, fetch_batch_size=4,
+               num_frontier_shards=2)
+    with RayCrawler(cfg, w.pages, w.images, w.robots_map(),
+                    str(tmp_path / "list"), world_seed=WORLDS[1].seed) as c:
+        want = c.run().as_dict(), c.seen_sets()
+    ds = _seed_blocks(raw, 8192 // len(raw) + 2)
+    with RayCrawler(dataclasses.replace(cfg, seeds=[]), w.pages, w.images,
+                    w.robots_map(), str(tmp_path / "ds"),
+                    world_seed=WORLDS[1].seed, seeds_ds=ds) as c:
+        assert (c.run().as_dict(), c.seen_sets()) == want
+    assert want[0]["visited"] > 0

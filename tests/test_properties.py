@@ -14,7 +14,8 @@ from doonop_ray.codec import (
     phash64,
     psnr,
 )
-from doonop_ray.url import canonicalize, make_absolute, make_absolute_batch
+from doonop_ray.url import (canonicalize, host_of, host_path_of, make_absolute,
+                            make_absolute_batch, path_of)
 
 
 @st.composite
@@ -216,6 +217,18 @@ def test_batch_host_routing_equals_scalar(urls):
     for n in (1, 2, 3, 8):
         assert host_shards_of_batch(urls, n).tolist() == [
             host_shard_of(u, n) for u in urls]
+
+
+@given(st.one_of(
+    st.builds(lambda *parts: "".join(parts), _route_scheme, _route_userinfo,
+              _route_host, _route_port, _route_rest),
+    _bases, _url_chars, st.text(max_size=24)))
+@example("http://[::1/p")  # urlsplit raises: the ("", "/") fallbacks
+@settings(max_examples=300, deadline=None)
+def test_host_path_of_equals_host_of_and_path_of(url):
+    """The frontier drain's one-split host and path cut is exactly the
+    two cuts it replaced, fallbacks included."""
+    assert host_path_of(url) == (host_of(url), path_of(url))
 
 
 # ---------------------------------------------------------------------------
