@@ -222,19 +222,6 @@ def run_scaling(sf_dir: str) -> dict:
     ceil_post = probe(reps=3, small=lo, large=hi)
     ceil = ceil_pre if ceil_pre["ceiling"] >= ceil_post["ceiling"] else ceil_post
     ceil = dict(ceil, pre=ceil_pre["ceiling"], post=ceil_post["ceiling"])
-    # Degraded-window self-diagnosis: when the efficiency or the
-    # machine's own null-probe ceiling collapses, re-run the wide side
-    # once and record it.  A reprobe far above pages_per_sec_32 proves
-    # transient host contention (the 2026-08-19 window read eff 0.297
-    # with BOTH sides 3-4x below band; a reprobe minutes later was back
-    # to 24.6k pages/s) — without it, a single bad driver-run window is
-    # indistinguishable from a real scaling regression in the recorded
-    # JSON.
-    reprobe = None
-    if eff < 0.4 or ceil["ceiling"] < 0.5:
-        r_re = child(hi)
-        reprobe = {"sec_32": r_re["value"],
-                   "pages_per_sec_32": r_re["pages_per_sec"]}
     return {
         "metric": "crawl_scaling_efficiency (8 -> 32 cpus, fresh processes)",
         "value": round(eff, 3),
@@ -247,14 +234,6 @@ def run_scaling(sf_dir: str) -> dict:
         "sf": r_hi["sf"],
         "machine_ceiling": ceil,
         "efficiency_vs_ceiling": round(eff / ceil["ceiling"], 3),
-        # bracket disagreement >0.15 means the host's parallel capacity
-        # moved mid-run (probes swing 0.61-0.88 within minutes on this
-        # sandbox); the raw ratio then measures the window, not the
-        # engine — runs 22 and 31 in BASELINE.md are the recorded cases
-        **({"volatile_window": True}
-           if abs(ceil_pre["ceiling"] - ceil_post["ceiling"]) > 0.15
-           else {}),
-        **({"degraded_window_reprobe": reprobe} if reprobe else {}),
     }
 
 

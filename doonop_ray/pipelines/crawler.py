@@ -8,23 +8,24 @@ their seen-set partitions):
 - ``run_conformance()`` — single in-flight lane, virtual clock: byte-
   exact reproduction of the reference's deterministic j=1 crawl order
   (pinned by /root/reference/src/lib.rs:117-134). Uses the SAME
-  Fetcher/Validator batch callables, applied inline on 1-row batches.
+  Fetcher/Validator batch callables, applied inline on 1-row batches,
+  and ONE in-process ``FrontierShard`` built like the scaled mode's.
 - ``RayCrawler.run()`` — scaled mode: the crawl state is sharded by
-  host over ``FrontierShard`` actors, each holding its hosts' frontier
-  AND their partition of the seen set (one actor kind, one process per
-  shard); ONE long-lived loop submits a plain Ray task per frontier
-  drain chunk (fetch→validate→persist→route against per-worker-cached
-  broadcast state). Each task partitions its links by host and returns
-  one payload per shard with its counters; the loop passes each payload
-  on to its host's shard, where the membership check and the push
-  happen together (no actor→actor messages), and each chunk's
-  artifacts land in one parquet part file under ``run=NNN/``. Seeds
-  reach the shards through the loop too (a seed Dataset's tasks return
-  payloads instead of calling a shard), so the loop is every shard's
-  only caller from its first call. While the shard actors start, the
-  loop seeds and crawls against in-process copies of the shards, with
-  a seed list or a seed Dataset alike, and then hands them over (the
-  boot, see ``run()``).
+  host over ``FrontierShard``s, each holding its hosts' frontier AND
+  their partition of the seen set; ONE long-lived loop submits a plain
+  Ray task per frontier drain chunk (fetch→validate→persist→route
+  against per-worker-cached broadcast state). Each task partitions its
+  links by host and returns one payload per shard with its counters;
+  the loop passes each payload on to its host's shard, where the
+  membership check and the push happen together (no actor→actor
+  messages), and each chunk's artifacts land in one parquet part file
+  under ``run=NNN/``. Seeds reach the shards through the loop too (a
+  seed Dataset's tasks return payloads instead of calling a shard), so
+  the loop is every shard's only caller from its first call. Every
+  crawl starts on in-process shards while their actors (one process
+  per shard) start, and hands them over once the actors answer; a
+  crawl that ends first keeps its state in-process (the boot, see
+  ``run()``).
   Guarantees set-equality of visited/collected/seen with
   the reference (whose own N>1 interleave is nondeterministic,
   lib.rs:136-155) plus identical stats counters; an artifact ``limit``
@@ -54,11 +55,10 @@ import pyarrow.parquet as pq
 from ..config import CrawlConfig
 from ..filters import FilterSpec
 from ..oracle import clean_seeds
-from ..robots import RobotsCache, make_table_fetcher
 from ..stages.fetch import (Fetcher, Validator, identity_validate_fn,
                             make_backend_fetch_fn, make_fetch_fn,
                             make_validate_fn)
-from ..state.frontier import FrontierCore, FrontierShard
+from ..state.frontier import FrontierShard
 from ..state.seen import HASH_IMPL, SeenCore, host_shards_of_batch
 
 # the traced benchmark subclasses this name when it imports this module;
@@ -339,12 +339,32 @@ def _run_stream_chunk(entries, fns_ref_box):
     return out
 
 
+def _shard_args(cfg: CrawlConfig, robots_map, shard_id: int) -> tuple:
+    """``FrontierShard``'s constructor arguments for shard ``shard_id``
+    of a crawl under ``cfg``; every shard, actor or in-process, scaled or
+    conformance, is built from them."""
+    # cuckoo capacity per seen partition, budgeted from the expected
+    # crawl size: a fixed 1<<18 overflows into the exact stash at
+    # 10^10-URL scale, the memory failure the filter exists to avoid
+    if cfg.expected_total_urls is None:
+        cap = 1 << 18
+    else:
+        cap = max(1 << 12, int(cfg.expected_total_urls * 1.3)
+                  // cfg.num_frontier_shards)
+    return (shard_id, cfg.retry_policy, cfg.retry_threshold_ms,
+            cfg.retry_count, "lifo",
+            robots_map if cfg.use_robots else None, cfg.robot,
+            cfg.use_robots, cfg.host_rate_per_sec, cfg.host_burst,
+            cfg.seen_mode, cap)
+
+
 class _Shards:
-    """Where each shard's state lives during ``run()``: while the actors
-    start, in one in-process shard per actor (``local``, built with the
-    same arguments), then in its ``FrontierShard`` actor. Every call goes
-    to the current owner; ``hand_over`` moves each local shard into its
-    actor with one ``restore``."""
+    """Where each shard's state lives: from the start of ``run()`` in one
+    in-process shard per actor (``local``, built with the same
+    arguments), and from a handover on in its ``FrontierShard`` actor.
+    Every call goes to the current owner; ``hand_over`` moves each local
+    shard into its actor with one ``restore``, and only once every actor
+    answers, so a crawl that ends first never waits for them."""
 
     def __init__(self, ray, actors: list, local: list):
         self.ray = ray
@@ -379,14 +399,13 @@ class _Shards:
         return [self.ray.put(sh.drain(budget, now_ms, None))
                 for sh in self.local]
 
-    def hand_over(self, wait: bool) -> bool:
+    def hand_over(self) -> bool:
         """Move every local shard, with its robots cache, into its actor
-        once all the actors answer (``wait``: block until they do).
-        True if this call handed them over."""
+        if all the actors answer by now. True if this call handed them
+        over."""
         if self.local is None:
             return False
-        up, _ = self.ray.wait(self._up, num_returns=len(self._up),
-                              timeout=None if wait else 0)
+        up, _ = self.ray.wait(self._up, num_returns=len(self._up), timeout=0)
         if len(up) < len(self._up):
             return False
         self.ray.get([a.restore.remote(sh.snapshot(), sh.robots_verdicts())
@@ -441,21 +460,8 @@ class RayCrawler:
     def _spawn_state(self, ray):
         """Start the shard actors, and build one in-process shard per
         actor for the crawl to run on until they are up."""
-        cfg = self.cfg
-        # cuckoo capacity per seen partition, budgeted from the expected
-        # crawl size: a fixed 1<<18 overflows into the exact stash at
-        # 10^10-URL scale, the memory failure the filter exists to avoid
-        if cfg.expected_total_urls is None:
-            cap = 1 << 18
-        else:
-            cap = max(1 << 12, int(cfg.expected_total_urls * 1.3)
-                      // cfg.num_frontier_shards)
-        args = [(i, cfg.retry_policy, cfg.retry_threshold_ms,
-                 cfg.retry_count, "lifo",
-                 self.robots_map if cfg.use_robots else None, cfg.robot,
-                 cfg.use_robots, cfg.host_rate_per_sec, cfg.host_burst,
-                 cfg.seen_mode, cap)
-                for i in range(cfg.num_frontier_shards)]
+        args = [_shard_args(self.cfg, self.robots_map, i)
+                for i in range(self.cfg.num_frontier_shards)]
         # built through this module's global name, which the traced
         # benchmark swaps for its subclass
         frontier_cls = ray.remote(FrontierShard)
@@ -463,15 +469,14 @@ class RayCrawler:
         self._shards = _Shards(ray, self.frontier,
                                [FrontierShard(*a) for a in args])
 
-    def _seed_frontier(self, ray, seeds: list[str]) -> int:
-        """Seed the sorted ``seeds``: one ``seed`` call per shard, each
-        pushing its fresh URLs in sorted order (LIFO parity). Returns the
-        number of fresh urls seeded."""
-        urls = pa.array(seeds, pa.string())
-        per_shard = [([],) for _ in self.frontier]
-        for s, idx in _shard_runs(urls, len(per_shard)):
-            per_shard[s] = (urls.take(pa.array(idx)).to_pylist(),)
-        return sum(self._shards.call("seed", per_shard))
+    def _seed_frontier(self, ray, seeds: list[str]) -> None:
+        """Seed the sorted ``seeds`` the way seed Dataset batches go: one
+        ``ingest`` payload per shard (``shard_payloads``, all depths 0),
+        each pushing its fresh URLs in sorted order (LIFO parity)."""
+        for s, urls, depths in shard_payloads(
+                pa.array(seeds, pa.string()), np.zeros(len(seeds), np.int32),
+                self.cfg.num_frontier_shards, "seed"):
+            self._shards.send(s, "ingest", urls, depths)
 
     def _seed_frontier_dataset(self, ray, ds, put) -> None:
         """Distributed bulk seeding: each Dataset batch task partitions
@@ -487,7 +492,9 @@ class RayCrawler:
         call. An ``ingest`` of seeds is a ``seed``: first occurrence
         wins, fresh urls are pushed in batch order. Bulk mode is
         set-equality mode, so the global sorted-seed LIFO order of
-        ``_seed_frontier`` is not required."""
+        ``_seed_frontier`` is not required. A batch holding a seed its
+        payload cannot carry returns ``shard_payloads``'s refusal as a
+        row, raised here as the ``ValueError`` it is."""
         cfg = self.cfg
         n_shards = cfg.num_frontier_shards
         # mirror the list-seeding guard: unless the caller declared the
@@ -503,19 +510,29 @@ class RayCrawler:
             if clean_needed:
                 urls = pa.array(clean_seeds(urls.to_pylist(), filters),
                                 pa.string())
-            payloads = shard_payloads(
-                urls, np.zeros(len(urls), np.int32), n_shards, "seed")
+            error = None
+            try:
+                payloads = shard_payloads(
+                    urls, np.zeros(len(urls), np.int32), n_shards, "seed")
+            except ValueError as exc:
+                # returned as a row, not raised: Ray Data would re-raise
+                # it under its own exception type
+                payloads, error = [(None, None, None)], str(exc)
             return pa.table({
                 "shard": pa.array([p[0] for p in payloads], pa.int32()),
                 "urls": pa.array([p[1] for p in payloads], pa.string()),
-                "depths": pa.array([p[2] for p in payloads], pa.binary())})
+                "depths": pa.array([p[2] for p in payloads], pa.binary()),
+                "error": pa.array([error] * len(payloads), pa.string())})
 
         for t in ds.map_batches(seed_batch, batch_format="pyarrow",
                                 batch_size=8192).iter_batches(
                                     batch_size=None, batch_format="pyarrow"):
-            for payload in zip(*(t.column(c).to_pylist()
-                                 for c in ("shard", "urls", "depths"))):
-                put(payload)
+            for *payload, error in zip(*(
+                    t.column(c).to_pylist()
+                    for c in ("shard", "urls", "depths", "error"))):
+                if error is not None:
+                    raise ValueError(error)
+                put(tuple(payload))
 
     # ------------------------------------------------------------------
     def run(self, resume: bool = False):
@@ -552,9 +569,9 @@ class RayCrawler:
         same arguments, seeds it and crawls against it, whether the
         seeds come from a list or a Dataset; then it hands each shard
         over with one ``restore`` (plus the robots verdicts, so no
-        robots.txt is fetched twice). A crawl that ends first waits for
-        the actors and hands over before its final checkpoint, so the
-        actors hold the crawl's state when ``run()`` returns.
+        robots.txt is fetched twice). A crawl that ends first does not
+        wait for the actors: its state stays in-process, and the final
+        checkpoint, the metrics row and ``seen_sets()`` read it there.
 
         Stats are exact and live: every chunk's counters return through
         the task result and are added to ``self.stats`` as the chunk is
@@ -781,11 +798,10 @@ class RayCrawler:
 
         boot_sec = boot_visited = 0
 
-        def hand_over(wait: bool) -> None:
+        def end_boot() -> None:
             nonlocal boot_sec, boot_visited
-            if shards.hand_over(wait):
-                boot_sec = time.monotonic() - t_start
-                boot_visited = stats.visited - visited0
+            boot_sec = time.monotonic() - t_start
+            boot_visited = stats.visited - visited0
 
         last_ckpt = time.monotonic()
         idle_sleep = 0.002
@@ -795,7 +811,8 @@ class RayCrawler:
         drains = issue_drains()
         while True:
             _t["loops"] += 1
-            hand_over(wait=False)
+            if shards.hand_over():
+                end_boot()
             if self._stop_requested or (
                     goal is not None and stats.collected >= goal):
                 break
@@ -896,9 +913,10 @@ class RayCrawler:
         while seeding:
             forward_seeds(timeout=None)
         quiesce()
-        # the crawl may end before the actors are up: they hold its state
-        # from here on (final checkpoint, seen_sets(), a later resume)
-        hand_over(wait=True)
+        if shards.local is not None:
+            # the crawl ended before the actors were up: no handover, its
+            # state stays in-process (final checkpoint, seen_sets())
+            end_boot()
         if cfg.checkpoint_dir:
             # final checkpoint on BOTH graceful stop and normal
             # completion: a finished run's seen/frontier state is what a
@@ -923,8 +941,8 @@ class RayCrawler:
             # loop); time spent in emptiness checks
             "seed_sec": round(seed_done - t_start, 3),
             "settle_sec": round(_t["settle"], 3),
-            # run() start → the shards' handover to their actors, and the
-            # visits absorbed before it (0 and 0 without a boot)
+            # run() start → the shards' handover to their actors (or the
+            # loop's end, without one), and the visits absorbed by then
             "boot_sec": round(boot_sec, 3),
             "boot_visited": boot_visited,
             "stage_sec": {k: round(v, 3) for k, v in stage_sec.items()},
@@ -1036,18 +1054,18 @@ class RayCrawler:
 
     # ------------------------------------------------------------------
     def seen_sets(self):
-        import ray
-
+        """The last run's seen set (exact mode), wherever it lives."""
         out: set[str] = set()
-        for part in ray.get([f.seen_urls.remote() for f in self.frontier]):
+        for part in self._shards.call("seen_urls"):
             out.update(part)
         return out
 
     def close(self) -> None:
-        """Kill this crawler's shard actors and drop their handles
-        (idempotent). ``run()`` leaves them up so ``seen_sets()`` can be
-        read after it; call this, or use the crawler as a context
-        manager, when done."""
+        """Kill this crawler's shard actors, including any that never
+        took the state, and drop their handles (idempotent). ``run()``
+        leaves them up, so a handed-over state can still be read after
+        it; call this, or use the crawler as a context manager, when
+        done."""
         import ray
 
         for f in self.frontier:
@@ -1071,9 +1089,10 @@ def run_conformance(cfg: CrawlConfig, pages: pa.Table | None,
                     robots_map, world_seed: int = 42,
                     img_bounds: tuple[int, int] = (16, 40),
                     fetch_backend=None):
-    """Single-in-flight crawl using the engine's own operator classes
-    (FrontierCore + SeenCore + RobotsCache + Fetcher + Validator batch
-    fns applied inline) — produces the reference's exact j=1 order.
+    """Single-in-flight crawl on the engine's own objects: one
+    in-process ``FrontierShard`` (frontier, seen set and robots cache,
+    built by the scaled mode's ``_shard_args``) and the Fetcher/Validator
+    batch fns applied inline — produces the reference's exact j=1 order.
 
     ``fetch_backend`` (zero-arg factory) swaps in a custom transport
     (e.g. the loopback HttpFetcher); image validation is then skipped —
@@ -1093,17 +1112,7 @@ def run_conformance(cfg: CrawlConfig, pages: pa.Table | None,
         fetcher = Fetcher(pages, filters, cfg.extractor)
         validator = Validator(images, world_seed, img_min=img_bounds[0],
                               img_max=img_bounds[1])
-    frontier = FrontierCore(
-        cfg.retry_policy, cfg.retry_threshold_ms, cfg.retry_count, "lifo"
-    )
-    seen = SeenCore(cfg.seen_mode)
-    if not cfg.use_robots:
-        robots = None
-    elif callable(robots_map):
-        # robots-backend factory — see FrontierShard.__init__
-        robots = RobotsCache(robots_map())
-    else:
-        robots = RobotsCache(make_table_fetcher(robots_map))
+    shard = FrontierShard(*_shard_args(cfg, robots_map, 0))
 
     stats = CrawlStats()
     order: list[str] = []
@@ -1112,26 +1121,20 @@ def run_conformance(cfg: CrawlConfig, pages: pa.Table | None,
     limit_left = cfg.limit
     closed = False
 
-    seeds = clean_seeds(cfg.seeds, filters)
-    if seeds:
-        fresh = [u for u, new in zip(seeds, seen.check_and_add(seeds)) if new]
-        frontier.push([(u, 0) for u in fresh])
-
+    shard.seed(clean_seeds(cfg.seeds, filters))
     while not closed:
-        got = frontier.drain(1, clock_ms, robots, cfg.robot)
+        got = shard.drain(1, clock_ms)
         if not got:
             break
         url, attempt, depth = got[0]
         order.append(url)
         stats.visited += 1
-        row = fetcher(
-            _entries_table([(url, attempt, depth)])
-        )
+        row = fetcher(_entries_table([(url, attempt, depth)]))
         status = row.column("status")[0].as_py()
         clock_ms += row.column("latency_ms")[0].as_py()
         if status == "timeout" and cfg.retry_policy != "no":
             stats.retries += 1
-            frontier.keep_retry(url, depth, clock_ms)
+            shard.keep_retry_batch([(url, depth)], clock_ms)
             continue
         if status != "ok":
             stats.errors += 1
@@ -1149,20 +1152,15 @@ def run_conformance(cfg: CrawlConfig, pages: pa.Table | None,
             }
         )
         stats.collected += 1
-        if limit_left is not None:
-            if limit_left == 0:
-                closed = True
-            else:
-                limit_left -= 1
-                if limit_left == 0:
-                    closed = True
+        if limit_left is not None:  # limit=0 collects one (the quirk)
+            limit_left -= 1
+            closed = limit_left <= 0
         links = v.column("links")[0].as_py()
-        fresh = [u for u, new in zip(links, seen.check_and_add(links)) if new]
-        frontier.push([(u, depth + 1) for u in fresh])
+        shard.push_fresh(links, [depth + 1] * len(links))
 
     return {
         "order": order,
         "collected": collected,
-        "seen": set(seen.exact) if seen.mode == "exact" else None,
+        "seen": set(shard.seen_urls()) if cfg.seen_mode == "exact" else None,
         "stats": stats.as_dict(),
     }

@@ -305,7 +305,7 @@ class FrontierShard:
     def push(self, items: list[tuple[str, int]]) -> int:
         return self.core.push(items)
 
-    def _push_fresh(self, urls: list[str], depths) -> int:
+    def push_fresh(self, urls: list[str], depths) -> int:
         """Push the urls not seen before, in list order (first discovery
         wins, workload.rs:202-211); returns how many were fresh."""
         mask = self.seen.check_and_add(urls)
@@ -313,7 +313,7 @@ class FrontierShard:
                           if new])
 
     def seed(self, urls: list[str]) -> int:
-        return self._push_fresh(urls, [0] * len(urls))
+        return self.push_fresh(urls, [0] * len(urls))
 
     def ingest(self, urls: str, depths: bytes) -> None:
         """One chunk's discovered links for this shard (one message per
@@ -333,7 +333,7 @@ class FrontierShard:
         d = array("i", depths)
         if sys.byteorder != "little":
             d.byteswap()
-        self._push_fresh(urls, d)
+        self.push_fresh(urls, d)
 
     def keep_retry_batch(self, items, now_ms: float) -> int:
         """items: [(url, depth)] or [(url, depth, attempt)] — returns how

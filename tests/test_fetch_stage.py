@@ -177,7 +177,7 @@ def test_router_sends_one_string_per_shard_and_pushes_as_the_list_path(
         assert type(payload_urls) is str and type(payload_depths) is bytes
         got, ref = _shard(), _shard()
         got.ingest(payload_urls, payload_depths)
-        ref._push_fresh(w_urls, w_depths)
+        ref.push_fresh(w_urls, w_depths)
         assert got.core.heap == ref.core.heap
     retry = dict(counters["retry"])
     assert sum(map(len, want_retry)) == counters["timeout"] > 0

@@ -117,8 +117,6 @@ def test_cuckoo_seen_mode_scaled(ray_session, tmp_path):
     ``expected_total_urls`` sizes each shard's filter: max(1<<12,
     int(20_000 × 1.3) // 2) = 13,000 URLs → 3,421 buckets of 4, rounded
     up to 4,096 buckets = 16,384 slots (the unsized default is 524,288)."""
-    import ray
-
     w = build_world(WorldParams(seed=21, n_hosts=5, pages_per_host=12, fanout=4))
     base = dict(seeds=w.seeds.column("url").to_pylist(), retry_threshold_ms=0,
                 engines=2, fetch_batch_size=8)
@@ -128,7 +126,7 @@ def test_cuckoo_seen_mode_scaled(ray_session, tmp_path):
     with RayCrawler(cfg, w.pages, w.images, w.robots_map(),
                     str(tmp_path / "o"), world_seed=21) as c:
         stats = c.run()
-        occ = ray.get([f.occupancy.remote() for f in c.frontier])
+        occ = c._shards.call("occupancy")
     assert [(o["slots"], o["stash"]) for o in occ] == [(16_384, 0)] * 2
     assert sum(o["count"] for o in occ) > 0
     # a false positive can only DROP pages, never duplicate them; with
