@@ -128,7 +128,9 @@ def run_bench(sf_dir: str, num_cpus: int, include_ops: bool = True) -> dict:
                 row = json.loads(fh.read().splitlines()[-1])
             stages = {k: row[k] for k in ("stage_sec", "seed_sec",
                                           "settle_sec", "boot_sec",
-                                          "boot_visited", "idle_sec")}
+                                          "boot_visited", "idle_sec",
+                                          "chunks", "peak_inflight",
+                                          "underfill_sec")}
     crawl_sec = min(runs)
     visited = len(df)
     ok = df[df["status"] == "ok"]

@@ -304,6 +304,24 @@ _CHUNK_FNS_CACHE: dict = {}
 
 STAGES = ("table", "fetch", "validate", "persist", "route")
 
+MIN_CHUNK_ROWS = 32
+
+
+def _chunk_spans(n: int, free: int, chunk_rows: int) -> list[tuple[int, int]]:
+    """The ``(start, stop)`` spans, in order, of the chunks a drain of
+    ``n`` entries becomes while ``free`` engines have no chunk: as few
+    chunks as ``chunk_rows`` rows each allow, or more, up to ``free``,
+    while each keeps ``MIN_CHUNK_ROWS`` rows; sizes differ by at most
+    one. A chunk pays ~6 ms of fixed cost over its stages against
+    ~40 µs per row (organic world, outside Ray), so a drain is split
+    finer only when engines are free to take the pieces."""
+    if n == 0:
+        return []
+    k = max(-(-n // chunk_rows), min(free, n // MIN_CHUNK_ROWS))
+    q, r = divmod(n, k)
+    bounds = [i * q + min(i, r) for i in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
+
 
 def _run_stream_chunk(entries, fns_ref_box):
     """One chunk: fetch→validate→persist→route a drained batch as a
@@ -542,6 +560,18 @@ class RayCrawler:
         broadcast state — with a bounded in-flight window for
         backpressure. A fired retry is picked up by the next drain poll.
 
+        Chunks and window: a poll drains up to 8 × ``fetch_batch_size``
+        entries per shard, and each drain becomes chunks of at most
+        ``fetch_batch_size`` rows, split finer (never below 32 rows)
+        only into as many chunks as engines are free when the drain
+        arrives (``_chunk_spans``): a chunk's fixed cost is worth
+        paying again only when an engine would otherwise wait. At most
+        ``engines + max(1, engines // 4)`` chunks are in flight (at
+        most ``max(2, engines)`` until the first engines-worth finish).
+        The metrics row's ``peak_inflight`` and ``underfill_sec`` (the
+        seconds the loop ran with fewer than ``engines`` chunks in
+        flight) show how full the window ran.
+
         Why not a Ray Data pipeline: a Dataset source cannot feed
         downstream operators from a STILL-RUNNING task — measured on this
         Ray version, a map task's yielded blocks are only delivered when
@@ -694,28 +724,42 @@ class RayCrawler:
         fns_ref = ray.put((fetch_fn, validate_fn, persist_fn, route_fn))
         chunk_task = ray.remote(num_cpus=1)(_run_stream_chunk)
 
-        # drain granularity and task granularity are decoupled: each
-        # drain RTT amortizes over several task chunks (the drain path is
-        # a serial per-shard actor loop — small drains would make it the
-        # critical path at high core counts), while tasks stay
-        # fetch_batch_size-sized so enough chunks are in flight to fill
-        # every core
+        # a drain is up to 8 chunks' worth, so each drain RTT amortizes
+        # over several chunk tasks (the drain path is a serial per-shard
+        # loop; small drains would make it the critical path at high
+        # core counts); ``_chunk_spans`` cuts it by the free engines
         chunk_rows = max(1, cfg.fetch_batch_size)
         per_poll = 8 * chunk_rows
         goal = None if cfg.limit is None else max(cfg.limit, 1)
-        # in-flight window: enough chunks to keep every core busy plus a
-        # dispatch cushion; the window IS the backpressure (object store
-        # holds at most window × chunk bytes of artifacts). It RAMPS:
-        # until the first engines-worth of chunks complete, cap at
-        # engines — a cold burst of tasks all blocking on the broadcast
-        # ray.get makes Ray treat their CPUs as released and over-spawn
-        # workers, each paying its own index build (measured 10x cold
-        # slowdown at 2x engines)
-        window_full = cfg.engines + max(4, cfg.engines // 4)
+        # in-flight window: one chunk per engine plus a cushion of a
+        # quarter of the engines (at least one), so an engine that
+        # finishes finds its next chunk queued; the window IS the
+        # backpressure (object store holds at most window × chunk bytes
+        # of artifacts). It RAMPS: until the first engines-worth of
+        # chunks complete, cap at engines — a cold burst of tasks all
+        # blocking on the broadcast ray.get makes Ray treat their CPUs
+        # as released and over-spawn workers, each paying its own index
+        # build (measured 10x cold slowdown at 2x engines)
+        window_full = cfg.engines + max(1, cfg.engines // 4)
         window_ramp = max(2, cfg.engines)
         absorbed_chunks = 0
 
         inflight: dict = {}  # submitted, unabsorbed chunk ref → its rows
+        # the window's fill: its peak, and the seconds the loop ran with
+        # fewer than engines chunks in flight (``under`` since ``since``)
+        fill = {"peak": 0, "under": 0.0, "since": time.monotonic()}
+
+        def note_fill() -> None:
+            """Account the fill after ``inflight`` changed."""
+            now = time.monotonic()
+            fill["peak"] = max(fill["peak"], len(inflight))
+            if len(inflight) < cfg.engines:
+                if fill["since"] is None:
+                    fill["since"] = now
+            elif fill["since"] is not None:
+                fill["under"] += now - fill["since"]
+                fill["since"] = None
+
         # links counted by the chunks (the benchmark's runner reads it)
         routed = self._routed = {"links": 0}
         stage_sec = dict.fromkeys(STAGES, 0.0)
@@ -728,6 +772,7 @@ class RayCrawler:
             absorbed_chunks += len(done_refs)
             for r in done_refs:
                 del inflight[r]
+            note_fill()
             chunks = ray.get(list(done_refs))
             now_ms = time.monotonic() * 1000.0
             for c in chunks:
@@ -826,12 +871,6 @@ class RayCrawler:
             pending = set(drains)
             drains = []
             n_new = 0
-            # tail shaping, per shard: when a shard's drain comes back
-            # under its share of a full cohort, split it into finer
-            # chunks so the stragglers spread over every core instead of
-            # a few long chunk tasks
-            shard_cohort = max(1, (chunk_rows * max(2, cfg.engines // 2))
-                               // n_shards)
             while pending:
                 _t0 = time.monotonic()
                 ready, _ = ray.wait(list(pending) + list(inflight),
@@ -848,9 +887,9 @@ class RayCrawler:
                     _t["drain"] += _dt
                     pending.discard(r)
                     entries = ray.get(r)
-                    rows_this = (chunk_rows if len(entries) >= shard_cohort
-                                 else max(32, chunk_rows // 4))
-                    for i in range(0, len(entries), rows_this):
+                    for lo, hi in _chunk_spans(
+                            len(entries), cfg.engines - len(inflight),
+                            chunk_rows):
                         # the window caps SUBMISSION, not just
                         # outstanding count — already-submitted tasks
                         # that block on the cold broadcast over-spawn
@@ -864,9 +903,10 @@ class RayCrawler:
                                                num_returns=1)
                             absorb(done)
                             _t["wait"] += time.monotonic() - _t0
-                        chunk = entries[i:i + rows_this]
+                        chunk = entries[lo:hi]
                         inflight[chunk_task.remote(chunk, [fns_ref])] = \
                             len(chunk)
+                        note_fill()
                         n_new += 1
             _t["chunks"] += n_new
             if inflight:
@@ -904,6 +944,8 @@ class RayCrawler:
                 self._stream_checkpoint(ray, run_idx)
                 last_ckpt = time.monotonic()
             drains = issue_drains()
+        if fill["since"] is not None:  # underfilled until the loop's end
+            fill["under"] += time.monotonic() - fill["since"]
 
         # a stop mid-seeding must not checkpoint a partial frontier: take
         # the seeder's payloads until it ends (their pushes are idempotent
@@ -934,6 +976,11 @@ class RayCrawler:
             "run_dir": run_dir,
             "chunks": _t["chunks"],
             "loops": _t["loops"],
+            # the most chunks in flight at once, and the seconds the
+            # loop ran with fewer than engines in flight (a tail-bound
+            # or drain-bound crawl reads high)
+            "peak_inflight": fill["peak"],
+            "underfill_sec": round(fill["under"], 3),
             "drain_sec": round(_t["drain"], 3),
             "wait_sec": round(_t["wait"], 3),
             "idle_sec": round(_t["idle"], 3),
@@ -1008,7 +1055,7 @@ class RayCrawler:
             if rel not in keep:
                 os.unlink(os.path.join(self.out_dir, rel))
         blobs = []
-        for i in range(len(self.frontier)):
+        for i in range(self.cfg.num_frontier_shards):
             with open(os.path.join(ckpt, f"frontier_{i:03d}.pkl"), "rb") as fh:
                 blobs.append((fh.read(),))
         self._shards.call("restore", blobs)

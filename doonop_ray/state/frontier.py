@@ -38,7 +38,7 @@ import sys
 from array import array
 
 from ..robots import RobotsCache, make_table_fetcher
-from ..url import host_path_of
+from ..url import cut_host_path
 from .seen import SeenCore
 
 
@@ -196,7 +196,7 @@ class FrontierCore:
                 break
             url, depth = got
             if robots is not None or self.buckets is not None:
-                host, path = host_path_of(url)  # one urlsplit for both
+                host, path = cut_host_path(url)
             if robots is not None:
                 verdict = robots.is_allowed(robot, host, path)
                 if verdict is not True:

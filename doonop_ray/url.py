@@ -26,6 +26,7 @@ none), which is what lets the link router newline-join a shard's links.
 from __future__ import annotations
 
 import ipaddress
+import re
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
@@ -101,6 +102,25 @@ def host_path_of(url: str) -> tuple[str, str]:
     except ValueError:
         return "", "/"
     return (parts.hostname or "").lower(), parts.path or "/"
+
+
+# a canonical ``http(s)://host[/path][?query][#fragment]`` whose host is
+# lower-case ``[a-z0-9.-]`` (no userinfo, port or IPv6 literal): its
+# ``urlsplit`` netloc is the host and its path runs to the first ``?`` or
+# ``#``. ``urlsplit`` deletes tabs, CRs and LFs anywhere before cutting,
+# so a URL holding one is left to it
+_HOST_PATH_RE = re.compile(
+    r"https?://([a-z0-9.-]+)(/[^?#\t\r\n]*)?(?:[?#][^\t\r\n]*)?")
+
+
+def cut_host_path(url: str) -> tuple[str, str]:
+    """``host_path_of(url)``, cut by one precompiled regex when ``url``
+    is canonical (the frontier drain's hot path) and by
+    ``host_path_of`` otherwise."""
+    m = _HOST_PATH_RE.fullmatch(url)
+    if m is None:
+        return host_path_of(url)
+    return m[1], m[2] or "/"
 
 
 def make_absolute(base: str, href: str) -> str | None:
@@ -182,7 +202,7 @@ def make_absolute_batch(bases, hrefs):
     flat string array aligned with ``pc.list_flatten(hrefs)``: the
     absolute canonical URL, or null where ``make_absolute`` drops the
     href. Arrow is imported here, not at module level: the frontier
-    actors import this module for ``host_path_of`` only."""
+    actors import this module for ``cut_host_path`` only."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc

@@ -7,6 +7,8 @@ lib.rs:136-155)."""
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from doonop_ray.config import CrawlConfig
 from doonop_ray.oracle import run_oracle
@@ -286,7 +288,36 @@ def test_stream_metrics_schema(ray_session, tmp_path, kind):
     assert row["stats"] == stats.as_dict()
     assert row["chunks"] > 0
     assert row["seen_stash"] == 0
+    engines = kw["engines"]
+    assert 1 <= row["peak_inflight"] <= engines + max(1, engines // 4)
+    assert 0 <= row["underfill_sec"]
     assert _artifact_rows(tmp_path / "out") == stats.visited
+
+
+@given(st.integers(0, 5000), st.integers(-8, 64), st.integers(1, 1024))
+@example(904, 1, 512)  # one engine: one drain, two chunks (not eight)
+@example(40, 4, 512)   # two 20-row chunks would undercut the floor
+@settings(max_examples=500, deadline=None)
+def test_chunk_spans_follow_the_free_engines(n, free, chunk_rows):
+    """A drain of ``n`` entries becomes chunks that cover it in order,
+    hold at most ``chunk_rows`` rows each, number at most ``max(1,
+    free)`` whenever ``free`` chunks of ``chunk_rows`` rows can hold the
+    drain, and keep 32 rows each unless the drain (or, for a
+    ``chunk_rows`` under 64, the cap's own split) is smaller."""
+    from doonop_ray.pipelines.crawler import MIN_CHUNK_ROWS, _chunk_spans
+
+    spans = _chunk_spans(n, free, chunk_rows)
+    bounds = [0] + [hi for _, hi in spans]
+    assert [lo for lo, _ in spans] == bounds[:-1] and bounds[-1] == n
+    sizes = [hi - lo for lo, hi in spans]
+    assert all(0 < s <= chunk_rows for s in sizes)
+    if n <= free * chunk_rows:
+        assert len(spans) <= max(1, free)
+    if n:
+        floor = min(MIN_CHUNK_ROWS, n, n // -(-n // chunk_rows))
+        assert min(sizes) >= floor
+        if chunk_rows >= 2 * MIN_CHUNK_ROWS:
+            assert min(sizes) >= min(MIN_CHUNK_ROWS, n)
 
 
 def test_streaming_false_is_refused():

@@ -231,6 +231,37 @@ def test_host_path_of_equals_host_of_and_path_of(url):
     assert host_path_of(url) == (host_of(url), path_of(url))
 
 
+def test_cut_host_path_equals_host_path_of():
+    """The drain's regex cut of a canonical URL is ``host_path_of``'s
+    ``urlsplit`` cut, and every other URL falls back to it; the regex
+    is actually taken on some URLs."""
+    from doonop_ray.url import _HOST_PATH_RE, cut_host_path
+
+    fast = []
+
+    @given(st.one_of(
+        st.builds(lambda *parts: "".join(parts), _route_scheme,
+                  _route_userinfo, _route_host, _route_port, _route_rest),
+        _bases, _url_chars, st.text(max_size=24),
+        st.builds(lambda b, h: b + h, _bases, _path)))
+    # a tab, CR or LF anywhere (urlsplit deletes them), a ``#`` before a
+    # ``?``, a trailing newline (``$`` would match before it), no path
+    @example("https://h.example.com/a\n")
+    @example("https://h.example.com/a\tb/c")
+    @example("http://h.ex\rample.com/p")
+    @example("https://h.example.com/a#b?c/d")
+    @example("https://h.example.com?q/x")
+    @example("http://[::1/p")
+    @settings(max_examples=300, deadline=None)
+    def prop(url):
+        assert cut_host_path(url) == host_path_of(url)
+        if _HOST_PATH_RE.fullmatch(url):
+            fast.append(url)
+
+    prop()
+    assert fast
+
+
 # ---------------------------------------------------------------------------
 # high-cardinality grouping primitives vs pandas ground truth
 # ---------------------------------------------------------------------------
