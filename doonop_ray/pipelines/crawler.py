@@ -29,7 +29,7 @@ their seen-set partitions):
   Guarantees set-equality of visited/collected/seen with
   the reference (whose own N>1 interleave is nondeterministic,
   lib.rs:136-155) plus identical stats counters; an artifact ``limit``
-  bounds what each poll drains, so a limit run stops at the limit.
+  bounds what each drain takes, so a limit run stops at the limit.
 
 Checkpointing (north_rule): one format, ``stream=NNNNN`` under
 ``checkpoint_dir`` — one snapshot per shard (frontier + seen) plus the
@@ -380,9 +380,12 @@ class _Shards:
     """Where each shard's state lives: from the start of ``run()`` in one
     in-process shard per actor (``local``, built with the same
     arguments), and from a handover on in its ``FrontierShard`` actor.
-    Every call goes to the current owner; ``hand_over`` moves each local
-    shard into its actor with one ``restore``, and only once every actor
-    answers, so a crawl that ends first never waits for them."""
+    Every call goes to the current owner: ``send`` leaves its result
+    unread, and ``call`` returns every shard's, answered directly by an
+    in-process shard and through one ``ray.get`` by the actors.
+    ``hand_over`` moves each local shard into its actor with one
+    ``restore``, and only once every actor answers, so a crawl that
+    ends first never waits for them."""
 
     def __init__(self, ray, actors: list, local: list):
         self.ray = ray
@@ -406,16 +409,6 @@ class _Shards:
             return self.ray.get([getattr(a, method).remote(*x)
                                  for a, x in zip(self.actors, args)])
         return [getattr(sh, method)(*x) for sh, x in zip(self.local, args)]
-
-    def drain(self, budget: int, now_ms: float) -> list:
-        """One drain ref per shard: a local drain's result goes through
-        ``ray.put``, so the crawl loop waits on both kinds alike. The
-        third argument is the benchmark's traced drain override's
-        required per_host_cap (always None)."""
-        if self.local is None:
-            return [a.drain.remote(budget, now_ms, None) for a in self.actors]
-        return [self.ray.put(sh.drain(budget, now_ms, None))
-                for sh in self.local]
 
     def hand_over(self) -> bool:
         """Move every local shard, with its robots cache, into its actor
@@ -464,6 +457,12 @@ class RayCrawler:
         self.out_dir = out_dir
         self.world_seed = world_seed
         self.filters = FilterSpec(tuple(cfg.ignore_regexes), cfg.allow_domains)
+        # seeds, from a list or a Dataset, go through the clean pass the
+        # reference applies to them (canonicalize + dedup + filter,
+        # cfg.rs:338-342) unless the caller declared them pre-canonical
+        # AND no filter is configured
+        self.clean_needed = not (cfg.seeds_canonical and not cfg.ignore_regexes
+                                 and cfg.allow_domains is None)
         self.stats = CrawlStats()
         self._stop_requested = False
         self.frontier: list = []  # shard actor handles, set by run()
@@ -515,12 +514,7 @@ class RayCrawler:
         row, raised here as the ``ValueError`` it is."""
         cfg = self.cfg
         n_shards = cfg.num_frontier_shards
-        # mirror the list-seeding guard: unless the caller declared the
-        # urls pre-canonical AND no filters are configured, every batch
-        # goes through the same clean pass (canonicalize + dedup +
-        # filter) the reference applies to seeds (cfg.rs:338-342)
-        clean_needed = not (cfg.seeds_canonical and not cfg.ignore_regexes
-                            and cfg.allow_domains is None)
+        clean_needed = self.clean_needed
         filters = self.filters
 
         def seed_batch(t: pa.Table) -> pa.Table:
@@ -558,19 +552,25 @@ class RayCrawler:
         plain Ray task per frontier drain chunk — fetch→validate→
         persist→route runs inside the task against per-worker-cached
         broadcast state — with a bounded in-flight window for
-        backpressure. A fired retry is picked up by the next drain poll.
+        backpressure. A fired retry is picked up by the next drain.
 
-        Chunks and window: a poll drains up to 8 × ``fetch_batch_size``
-        entries per shard, and each drain becomes chunks of at most
-        ``fetch_batch_size`` rows, split finer (never below 32 rows)
-        only into as many chunks as engines are free when the drain
-        arrives (``_chunk_spans``): a chunk's fixed cost is worth
-        paying again only when an engine would otherwise wait. At most
+        Chunks and window: each loop turn drains every shard once, up to
+        8 × ``fetch_batch_size`` entries per shard, and submits every
+        entry it drained in that same turn, so a stop leaves no entry
+        drained but unvisited. Each shard's drain becomes chunks of at
+        most ``fetch_batch_size`` rows, split finer (never below 32
+        rows) only into as many chunks as engines are free when it is
+        cut (``_chunk_spans``): a chunk's fixed cost is worth paying
+        again only when an engine would otherwise wait. At most
         ``engines + max(1, engines // 4)`` chunks are in flight (at
-        most ``max(2, engines)`` until the first engines-worth finish).
-        The metrics row's ``peak_inflight`` and ``underfill_sec`` (the
-        seconds the loop ran with fewer than ``engines`` chunks in
-        flight) show how full the window ran.
+        most ``max(2, engines)`` until the first engines-worth finish);
+        a full window makes the turn wait for a chunk before it submits
+        the next. The metrics row's ``peak_inflight`` and
+        ``underfill_sec`` (the seconds the loop ran with fewer than
+        ``engines`` chunks in flight) show how full the window ran;
+        ``drain_sec`` is the time spent in the drain calls, in-process
+        or to the actors, and ``wait_sec`` the time spent waiting for
+        chunks.
 
         Why not a Ray Data pipeline: a Dataset source cannot feed
         downstream operators from a STILL-RUNNING task — measured on this
@@ -607,7 +607,7 @@ class RayCrawler:
         the task result and are added to ``self.stats`` as the chunk is
         absorbed.
 
-        Artifact limit: with ``cfg.limit`` set, a poll drains at most
+        Artifact limit: with ``cfg.limit`` set, a turn drains at most
         ``max(limit, 1)`` minus the collected count minus the rows of
         submitted, unabsorbed chunks (split over the frontier shards, at
         least one each), and the loop closes once ``max(limit, 1)`` are
@@ -691,11 +691,10 @@ class RayCrawler:
 
             threading.Thread(target=_seed, daemon=True).start()
         else:
-            if (cfg.seeds_canonical and not cfg.ignore_regexes
-                    and cfg.allow_domains is None):
-                seeds = sorted(set(cfg.seeds))
-            else:
+            if self.clean_needed:
                 seeds = clean_seeds(cfg.seeds, self.filters)
+            else:
+                seeds = sorted(set(cfg.seeds))
             if not seeds and run_idx == 0:
                 # nothing to do on a fresh run (the actors are as empty
                 # as the boot shards); a RESUME with no live seeds must
@@ -806,16 +805,23 @@ class RayCrawler:
             if item is not None:
                 raise item
 
-        def issue_drains() -> list:
-            if seeding:
-                forward_seeds()
+        def drain() -> list:
+            """Every shard's drained entries, in shard order: one call
+            per shard, answered directly by an in-process shard and
+            through one ``ray.get`` by the actors. The third argument is
+            the benchmark's traced drain override's required
+            per_host_cap (always None)."""
             budget = per_poll
             if goal is not None:
                 budget = goal - stats.collected - sum(inflight.values())
                 if budget <= 0:
                     return []  # the in-flight chunks may reach the goal
                 budget = max(1, budget // n_shards)
-            return shards.drain(budget, time.monotonic() * 1000.0)
+            t0 = time.monotonic()
+            drained = shards.call(
+                "drain", [(budget, t0 * 1000.0, None)] * n_shards)
+            _t["drain"] += time.monotonic() - t0
+            return drained
 
         def crawl_done() -> bool:
             """True when seeding finished and every shard's frontier is
@@ -829,17 +835,9 @@ class RayCrawler:
             return done
 
         def quiesce():
-            nonlocal drains
             while inflight:
                 done, _ = ray.wait(list(inflight), num_returns=len(inflight))
                 absorb(done)
-            # drained-but-unsubmitted entries (prefetch in flight) go back
-            # to the shard they came from
-            for s, d in enumerate(ray.get(drains)):
-                if d:
-                    shards.send(s, "push",
-                                [(url, depth) for url, _at, depth in d])
-            drains = []
 
         boot_sec = boot_visited = 0
 
@@ -852,8 +850,6 @@ class RayCrawler:
         idle_sleep = 0.002
         _t = {"drain": 0.0, "wait": 0.0, "idle": 0.0, "settle": 0.0,
               "loops": 0, "chunks": 0}
-        # prefetched drains: next chunk's drain runs while chunks execute
-        drains = issue_drains()
         while True:
             _t["loops"] += 1
             if shards.hand_over():
@@ -861,60 +857,38 @@ class RayCrawler:
             if self._stop_requested or (
                     goal is not None and stats.collected >= goal):
                 break
-            # consume drains AS THEY COMPLETE: a frontier shard that is
-            # busy absorbing pushes answers its drain late, and waiting
-            # for all shards (the old ray.get(drains)) gated every
-            # chunk submission on the slowest one — measured 3.7 s of a
-            # 7.2 s 32-way scaleh crawl blocked there. The mixed wait
-            # also absorbs finished chunks while drains are in flight,
-            # so the window has room by the time entries arrive.
-            pending = set(drains)
-            drains = []
+            if seeding:
+                forward_seeds()
+            # every drained entry goes into a chunk this turn, so a stop
+            # leaves no entry drained but unvisited
             n_new = 0
-            while pending:
-                _t0 = time.monotonic()
-                ready, _ = ray.wait(list(pending) + list(inflight),
-                                    num_returns=1)
-                _dt = time.monotonic() - _t0
-                for r in ready:
-                    if r not in pending:
-                        # a finished CHUNK woke us — that wait was chunk
-                        # latency, not frontier-drain latency (keep the
-                        # drain_sec metric attributable for A/Bs)
-                        _t["wait"] += _dt
-                        absorb([r])
-                        continue
-                    _t["drain"] += _dt
-                    pending.discard(r)
-                    entries = ray.get(r)
-                    for lo, hi in _chunk_spans(
-                            len(entries), cfg.engines - len(inflight),
-                            chunk_rows):
-                        # the window caps SUBMISSION, not just
-                        # outstanding count — already-submitted tasks
-                        # that block on the cold broadcast over-spawn
-                        # workers regardless of any later wait
-                        while len(inflight) >= (
-                            window_full if absorbed_chunks >= cfg.engines
-                            else window_ramp
-                        ):
-                            _t0 = time.monotonic()
-                            done, _ = ray.wait(list(inflight),
-                                               num_returns=1)
-                            absorb(done)
-                            _t["wait"] += time.monotonic() - _t0
-                        chunk = entries[lo:hi]
-                        inflight[chunk_task.remote(chunk, [fns_ref])] = \
-                            len(chunk)
-                        note_fill()
-                        n_new += 1
+            for entries in drain():
+                for lo, hi in _chunk_spans(len(entries),
+                                           cfg.engines - len(inflight),
+                                           chunk_rows):
+                    # the window caps SUBMISSION, not just outstanding
+                    # count — already-submitted tasks that block on the
+                    # cold broadcast over-spawn workers regardless of
+                    # any later wait
+                    while len(inflight) >= (
+                        window_full if absorbed_chunks >= cfg.engines
+                        else window_ramp
+                    ):
+                        _t0 = time.monotonic()
+                        done, _ = ray.wait(list(inflight), num_returns=1)
+                        absorb(done)
+                        _t["wait"] += time.monotonic() - _t0
+                    chunk = entries[lo:hi]
+                    inflight[chunk_task.remote(chunk, [fns_ref])] = len(chunk)
+                    note_fill()
+                    n_new += 1
             _t["chunks"] += n_new
             if inflight:
                 _t0 = time.monotonic()
                 # non-blocking sweep of finished chunks; BLOCK when this
-                # round's drains came back empty (otherwise the loop
-                # would spin, hammering the frontier actors with drain
-                # RTTs while they're also absorbing pushes)
+                # turn's drain came back empty (otherwise the loop would
+                # spin, re-draining shards that only a finished chunk's
+                # payloads can refill)
                 done, _ = ray.wait(
                     list(inflight),
                     num_returns=1,
@@ -943,7 +917,6 @@ class RayCrawler:
                 quiesce()
                 self._stream_checkpoint(ray, run_idx)
                 last_ckpt = time.monotonic()
-            drains = issue_drains()
         if fill["since"] is not None:  # underfilled until the loop's end
             fill["under"] += time.monotonic() - fill["since"]
 
@@ -1181,7 +1154,7 @@ def run_conformance(cfg: CrawlConfig, pages: pa.Table | None,
         clock_ms += row.column("latency_ms")[0].as_py()
         if status == "timeout" and cfg.retry_policy != "no":
             stats.retries += 1
-            shard.keep_retry_batch([(url, depth)], clock_ms)
+            shard.keep_retry_batch([(url, depth, attempt)], clock_ms)
             continue
         if status != "ok":
             stats.errors += 1

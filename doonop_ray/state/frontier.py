@@ -336,14 +336,11 @@ class FrontierShard:
         self.push_fresh(urls, d)
 
     def keep_retry_batch(self, items, now_ms: float) -> int:
-        """items: [(url, depth)] or [(url, depth, attempt)] — returns how
-        many were re-queued (rest gave up or were duplicates)."""
-        kept = 0
-        for it in items:
-            url, depth = it[0], it[1]
-            attempt = it[2] if len(it) > 2 else None
-            kept += bool(self.core.keep_retry(url, depth, now_ms, attempt))
-        return kept
+        """items: [(url, depth, attempt)], each attempt as drained —
+        returns how many were re-queued (rest gave up or were
+        duplicates)."""
+        return sum(bool(self.core.keep_retry(url, depth, now_ms, attempt))
+                   for url, depth, attempt in items)
 
     def is_empty(self) -> bool:
         return self.core.is_empty()

@@ -898,6 +898,50 @@ def test_a_crawl_that_ends_before_the_actors_answer(ray_session, tmp_path,
         _assert_matches_oracle(resumed, stats, oracle)
 
 
+class _DriverOnly(list):
+    """A list that pickles empty, so the driver-side callbacks it holds
+    stay out of a shard class that Ray ships to the actors."""
+
+    def __reduce__(self):
+        return (_DriverOnly, ())
+
+
+def test_a_stopped_crawl_visits_every_entry_it_drained(ray_session,
+                                                       tmp_path,
+                                                       monkeypatch):
+    """A stop requested while a turn's drain is under way still visits
+    every entry that drain took: each turn submits all it drained, so
+    none is left drained but unvisited. The first non-empty drain of an
+    in-process shard requests the stop, long before the actors (30 s
+    late) could take the state over."""
+    from doonop_ray.pipelines import crawler as crawler_mod
+
+    driver = os.getpid()
+    drained: list[int] = []
+    stop = _DriverOnly()
+
+    class CountingShard(_slow_start_shard(30)):
+        def drain(self, *a):
+            out = super().drain(*a)
+            if out and os.getpid() == driver:
+                drained.append(len(out))
+                if len(drained) == 1:
+                    stop[0]()
+            return out
+
+    monkeypatch.setattr(crawler_mod, "FrontierShard", CountingShard)
+    w = build_world(WORLDS[1])
+    cfg = _cfg(w, use_robots=True, engines=2, fetch_batch_size=8,
+               num_frontier_shards=2)
+    crawler = RayCrawler(cfg, w.pages, w.images, w.robots_map(),
+                         str(tmp_path / "out"), world_seed=WORLDS[1].seed)
+    stop.append(crawler.request_stop)
+    with crawler:
+        stats = crawler.run()
+        assert crawler._shards.local is not None  # no handover
+    assert sum(drained) == stats.visited > 0
+
+
 def _slow_seed_payloads(delay_s: float):
     """``shard_payloads`` slowed by ``delay_s`` per seed batch (links
     are not slowed). Defined in a function, so Ray ships it by value."""
