@@ -11,11 +11,6 @@ crawl seconds (the BASELINE.json metric, fetched-and-validated rows).
 --scaling: runs the same bench in two fresh processes at
 RAY_GRAFT_CPUS=8 and =32 on the same pre-built world (cache warmed by an
 untimed build) and reports both throughputs + scaling efficiency.
-
---scaling-burst: the round-5 short protocol — interleaved 8/32-cpu
-timed pairs against two persistent warmed child sessions (a pair costs
-~12 s, so one sub-minute calm host window covers several pairs); see
-tools/burst_scaling.py.
 """
 
 from __future__ import annotations
@@ -291,18 +286,7 @@ if __name__ == "__main__":
     except (AttributeError, OSError):
         pass
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    if "--scaling-burst" in sys.argv:
-        # round-5 burst protocol: interleaved 8/32-cpu pairs against
-        # persistent child sessions, sized to fit the host's sub-minute
-        # calm windows (see tools/burst_scaling.py)
-        sys.path.insert(0, os.path.join(
-            os.path.dirname(os.path.abspath(__file__)), "tools"))
-        from burst_scaling import burst_session
-
-        world = os.environ.get("GRAFT_SCALING_WORLD", "scaleh")
-        print(json.dumps(burst_session(
-            int(os.environ.get("GRAFT_BURST_PAIRS", "6")), world)))
-    elif "--scaling" in sys.argv:
+    if "--scaling" in sys.argv:
         print(json.dumps(run_scaling(sf_dir)))
     elif "--skew" in sys.argv:
         print(json.dumps(run_skew(num_cpus)))

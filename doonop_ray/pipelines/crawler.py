@@ -42,6 +42,7 @@ written after the cut and continues, so the output stays exact.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import queue
@@ -55,9 +56,9 @@ import pyarrow.parquet as pq
 from ..config import CrawlConfig
 from ..filters import FilterSpec
 from ..oracle import clean_seeds
-from ..stages.fetch import (Fetcher, Validator, identity_validate_fn,
-                            make_backend_fetch_fn, make_fetch_fn,
-                            make_validate_fn)
+from ..stages.fetch import (Fetcher, Validator, _cached,
+                            identity_validate_fn, make_backend_fetch_fn,
+                            make_fetch_fn, make_validate_fn)
 from ..state.frontier import FrontierShard
 from ..state.seen import HASH_IMPL, SeenCore, host_shards_of_batch
 
@@ -299,9 +300,6 @@ def make_persist_fn(run_dir: str):
     return persist
 
 
-_CHUNK_FNS_CACHE: dict = {}
-
-
 STAGES = ("table", "fetch", "validate", "persist", "route")
 
 MIN_CHUNK_ROWS = 32
@@ -335,13 +333,8 @@ def _run_stream_chunk(entries, fns_ref_box):
     import ray
 
     ref = fns_ref_box[0]
-    key = getattr(ref, "hex", lambda: id(ref))()
-    fns = _CHUNK_FNS_CACHE.get(key)
-    if fns is None:
-        _CHUNK_FNS_CACHE.clear()
-        fns = ray.get(ref)
-        _CHUNK_FNS_CACHE[key] = fns
-    fetch_fn, validate_fn, persist_fn, route_fn = fns
+    fetch_fn, validate_fn, persist_fn, route_fn = _cached(
+        ("chunk_fns", ref.hex()), lambda: ray.get(ref))
     t0 = time.monotonic()
     batch = _entries_table(entries)
     t1 = time.monotonic()
@@ -357,6 +350,18 @@ def _run_stream_chunk(entries, fns_ref_box):
     return out
 
 
+@functools.cache
+def _remote(obj):
+    """``ray.remote(obj)``, made once per process. A new wrapper exports
+    its class or function again on first use (pickling it, and
+    disassembling a class): 15-55 ms of driver time per crawl for the
+    shard class. A kept one is exported once per (cluster, job), so it
+    stays valid across ``ray.shutdown()``/``ray.init()``."""
+    import ray
+
+    return ray.remote(obj)
+
+
 def _shard_args(cfg: CrawlConfig, robots_map, shard_id: int) -> tuple:
     """``FrontierShard``'s constructor arguments for shard ``shard_id``
     of a crawl under ``cfg``; every shard, actor or in-process, scaled or
@@ -370,8 +375,7 @@ def _shard_args(cfg: CrawlConfig, robots_map, shard_id: int) -> tuple:
         cap = max(1 << 12, int(cfg.expected_total_urls * 1.3)
                   // cfg.num_frontier_shards)
     return (shard_id, cfg.retry_policy, cfg.retry_threshold_ms,
-            cfg.retry_count, "lifo",
-            robots_map if cfg.use_robots else None, cfg.robot,
+            cfg.retry_count, robots_map if cfg.use_robots else None, cfg.robot,
             cfg.use_robots, cfg.host_rate_per_sec, cfg.host_burst,
             cfg.seen_mode, cap)
 
@@ -481,8 +485,7 @@ class RayCrawler:
                 for i in range(self.cfg.num_frontier_shards)]
         # built through this module's global name, which the traced
         # benchmark swaps for its subclass
-        frontier_cls = ray.remote(FrontierShard)
-        self.frontier = [frontier_cls.remote(*a) for a in args]
+        self.frontier = [_remote(FrontierShard).remote(*a) for a in args]
         self._shards = _Shards(ray, self.frontier,
                                [FrontierShard(*a) for a in args])
 
@@ -721,7 +724,7 @@ class RayCrawler:
         # ship the stage closures ONCE; workers cache the deserialized
         # tuple per process (same pattern as the broadcast state caches)
         fns_ref = ray.put((fetch_fn, validate_fn, persist_fn, route_fn))
-        chunk_task = ray.remote(num_cpus=1)(_run_stream_chunk)
+        chunk_task = _remote(_run_stream_chunk)  # one CPU, Ray's default
 
         # a drain is up to 8 chunks' worth, so each drain RTT amortizes
         # over several chunk tasks (the drain path is a serial per-shard

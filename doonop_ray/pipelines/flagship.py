@@ -31,10 +31,9 @@ _TIERS = {
     # coordination floor, so the two-parallelism comparison measures the
     # pipeline rather than the scheduler
     "scaleh": dict(n_hosts=80, pages_per_host=1200, img=(96, 128)),
-    # quarter-size heavy world for the BURST scaling protocol (round-5):
-    # small enough that a full 8-way + 32-way timed pair fits inside one
-    # of this host's sub-minute calm windows, heavy enough to stay
-    # compute-dominated (see tools/burst_scaling.py)
+    # quarter-size heavy world: a timed 8-way + 32-way pair takes
+    # seconds, and the crawl stays compute-dominated
+    # (GRAFT_SCALING_WORLD=scalehq python bench.py --scaling)
     "scalehq": dict(n_hosts=40, pages_per_host=600, img=(96, 128)),
     # skew-adversarial twin of the bench tier: SAME total page count
     # and payload sizes as "0.1", but host 0 holds 50% of all pages

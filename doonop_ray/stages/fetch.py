@@ -373,21 +373,14 @@ class Validator:
 
         self._pc = pc
         self.tab = _combined_view(t.drop_columns(["bytes"]))
-        blobs = t.column("bytes")
-        if pa.types.is_binary(blobs.type):
-            blobs = blobs.cast(pa.large_binary())
         # NEVER combine_chunks() the blob column here: even for a single
         # chunk it memcpys the whole column (measured ~1 s/GB), and at
         # workers × blob-GB that thrashes the node (prep_images_table
-        # guarantees single-chunk large_binary, so chunk(0) is the
+        # guarantees single-chunk large_binary, so blob_view is the
         # zero-copy view over the shared plasma buffers)
-        if isinstance(blobs, pa.ChunkedArray):
-            barr = (blobs.chunk(0) if blobs.num_chunks == 1
-                    else blobs.combine_chunks())
-        else:
-            barr = blobs
-        if isinstance(barr, pa.ChunkedArray):
-            barr = barr.chunk(0)
+        barr = blob_view(t)
+        if pa.types.is_binary(barr.type):
+            barr = barr.cast(pa.large_binary())
         self._blob_off = np.frombuffer(barr.buffers()[1], dtype=np.int64)
         self._blob_mv = memoryview(barr.buffers()[2])
         self._blob_base = barr.offset

@@ -1,12 +1,13 @@
-"""Frontier shard: priority heap + retry lane + politeness + robots gate.
+"""Frontier shard: LIFO stack + retry lane + politeness + robots gate.
 
 Reference semantics re-expressed for sharded execution:
 
-- frontier discipline: the reference pops a LIFO stack
-  (/root/reference/src/workload.rs:230); here a priority heap whose
-  conformance key ``-seq`` reproduces LIFO exactly, with an alternative
-  ``(depth, seq)`` BFS key for scaled crawls (north_rule: priority heap
-  keyed by depth / host budget / priority);
+- frontier discipline: the reference's ``Vec<Url>``, appended to by
+  ``keep_urls`` and popped by ``get_url`` (workload.rs:228-249); here
+  the same stack, a plain list. It keeps the attribute name ``heap``
+  because the benchmark's traced shard reads ``core.heap`` for its depth
+  (checkpoints written before it held a heap here; ``restore`` turns a
+  LIFO-keyed one into the stack);
 - retry lane: timeout-only, attempt count incremented before the
   give-up comparison (/root/reference/src/retry.rs:24-36); a retry
   becomes eligible when its fire threshold elapses OR the fresh pool is
@@ -19,8 +20,8 @@ Reference semantics re-expressed for sharded execution:
 - politeness (rebuild-only): per-host token buckets
   (``HostTokenBuckets``: ``rate`` tokens/sec per host refilling up to
   ``burst``), so a host is released at most ``burst + rate·Δt`` URLs in
-  any window of Δt; over-budget entries are deferred back to the heap in
-  their relative order, never dropped.
+  any window of Δt; over-budget entries are deferred back onto the stack
+  in their relative order, never dropped.
 
 Pure Python and fully unit-testable; wrapped in a Ray actor by the
 crawler (decorated at use site so importing this module needs no Ray).
@@ -101,20 +102,19 @@ class FrontierCore:
         retry_policy: str = "first",
         retry_threshold_ms: float = 10_000.0,
         retry_count: int = 3,
-        key_mode: str = "lifo",
         shard_id: int = 0,
     ):
         assert retry_policy in ("no", "first", "last")
-        assert key_mode in ("lifo", "bfs")
         self.retry_policy = retry_policy
         self.retry_threshold_ms = retry_threshold_ms
         self.retry_count = retry_count
-        self.key_mode = key_mode
         self.shard_id = shard_id
-        self.heap: list[tuple] = []  # (key, url, depth)
+        self.heap: list[tuple[str, int]] = []  # the stack: (url, depth)
+        # a heap by fire time, not a FIFO: after a resume whose clock
+        # reads lower, a FIFO's head would hold a fire time on the old
+        # clock and keep every later retry behind it
         self.retry_heap: list[tuple] = []  # (ready_at, rseq, url, depth)
         self.retry_counts: dict[str, int] = {}
-        self.seq = 0
         self.rseq = 0
         self.robots_dropped = 0
         self.buckets: HostTokenBuckets | None = None
@@ -123,16 +123,9 @@ class FrontierCore:
         self.buckets = HostTokenBuckets(rate_per_sec, burst)
 
     # -- pushes ------------------------------------------------------------
-    def _key(self, depth: int) -> tuple:
-        self.seq += 1
-        if self.key_mode == "lifo":
-            return (-self.seq,)
-        return (depth, self.seq)
-
     def push(self, items: list[tuple[str, int]]) -> int:
         """items = [(canonical_url, depth)] — already seen-set-deduped."""
-        for url, depth in items:
-            heapq.heappush(self.heap, (self._key(depth), url, depth))
+        self.heap.extend(items)
         return len(items)
 
     def keep_retry(self, url: str, depth: int, now_ms: float,
@@ -166,10 +159,7 @@ class FrontierCore:
         return None
 
     def _pool_pop(self):
-        if not self.heap:
-            return None
-        _, url, depth = heapq.heappop(self.heap)
-        return (url, depth)
+        return self.heap.pop() if self.heap else None
 
     def _pop_one(self, now_ms: float):
         if self.retry_policy == "no":
@@ -207,13 +197,9 @@ class FrontierCore:
                     deferred.append((url, depth))
                     continue
             out.append((url, self.retry_counts.get(url, 0), depth))
-        # re-queue politeness-deferred entries preserving relative order:
-        # they must come out before anything pushed later, so give them
-        # fresh keys in reverse (LIFO) / forward (BFS) order.
-        if deferred:
-            if self.key_mode == "lifo":
-                deferred = list(reversed(deferred))
-            self.push(deferred)
+        # put politeness-deferred entries back on top in reverse, so they
+        # pop again in the order they came out
+        self.heap.extend(reversed(deferred))
         return out
 
     def is_empty(self) -> bool:
@@ -229,7 +215,6 @@ class FrontierCore:
                 "heap": self.heap,
                 "retry_heap": self.retry_heap,
                 "retry_counts": self.retry_counts,
-                "seq": self.seq,
                 "rseq": self.rseq,
                 "robots_dropped": self.robots_dropped,
                 "buckets": self.buckets.state() if self.buckets else None,
@@ -237,7 +222,6 @@ class FrontierCore:
                     self.retry_policy,
                     self.retry_threshold_ms,
                     self.retry_count,
-                    self.key_mode,
                     self.shard_id,
                 ),
             },
@@ -246,12 +230,23 @@ class FrontierCore:
 
     def restore(self, blob: bytes) -> None:
         st = pickle.loads(blob)
+        cfg, heap = st["cfg"], st["heap"]
+        if "seq" in st:
+            # the former heap pool: entries (key, url, depth), keyed
+            # (-seq,) for LIFO or (depth, seq) for BFS, which a stack
+            # cannot keep; the LIFO key sorts into the same pop order
+            *cfg, mode, shard_id = cfg
+            if mode != "lifo":
+                raise ValueError(
+                    f"frontier snapshot has key mode {mode!r}: only a "
+                    "LIFO-keyed one restores onto the stack")
+            cfg = (*cfg, shard_id)
+            heap = [(u, d) for _, u, d in sorted(heap, reverse=True)]
         (self.retry_policy, self.retry_threshold_ms, self.retry_count,
-         self.key_mode, self.shard_id) = st["cfg"]
-        self.heap = st["heap"]
+         self.shard_id) = cfg
+        self.heap = heap
         self.retry_heap = st["retry_heap"]
         self.retry_counts = st["retry_counts"]
-        self.seq = st["seq"]
         self.rseq = st["rseq"]
         self.robots_dropped = st["robots_dropped"]
         b = st.get("buckets")
@@ -273,7 +268,6 @@ class FrontierShard:
         retry_policy: str,
         retry_threshold_ms: float,
         retry_count: int,
-        key_mode: str,
         robots_map,  # dict[str, str] | zero-arg robots-backend factory | None
         robot: str,
         use_robots: bool,
@@ -283,7 +277,7 @@ class FrontierShard:
         seen_capacity: int = 1 << 18,
     ):
         self.core = FrontierCore(
-            retry_policy, retry_threshold_ms, retry_count, key_mode, shard_id
+            retry_policy, retry_threshold_ms, retry_count, shard_id
         )
         if host_rate_per_sec is not None:
             self.core.set_politeness(host_rate_per_sec, host_burst)
@@ -302,6 +296,8 @@ class FrontierShard:
         else:
             self.robots = RobotsCache(make_table_fetcher(robots_map or {}))
 
+    # takes a list, not any iterable: the benchmark's traced shard
+    # overrides this and counts ``len(items)``
     def push(self, items: list[tuple[str, int]]) -> int:
         return self.core.push(items)
 

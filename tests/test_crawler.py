@@ -364,6 +364,36 @@ def test_close_leaves_no_shard_actor(ray_session, tmp_path):
     assert n_shards(_live_actors()) <= n_shards(base)
 
 
+def test_two_crawls_wrap_the_shard_class_once(ray_session, tmp_path,
+                                              monkeypatch):
+    """Two crawls in one session call ``ray.remote`` on the shard class
+    once: the wrapper is kept per process, so ``run()`` does not export
+    the class anew. The class is read from the module global when the
+    shards spawn, so a class swapped in there (as the traced benchmark
+    and the handover tests do) is the one wrapped, and it crawls."""
+    from doonop_ray.pipelines import crawler as crawler_mod
+
+    shard_cls = _slow_start_shard(0.0)
+    monkeypatch.setattr(crawler_mod, "FrontierShard", shard_cls)
+    wrapped = []
+    remote = ray_session.remote
+
+    def counting(*a, **kw):
+        wrapped.extend(a)
+        return remote(*a, **kw)
+
+    monkeypatch.setattr(ray_session, "remote", counting)
+    w = build_world(WORLDS[0])
+    oracle = run_oracle(_cfg(w), w.pages_by_url(), w.robots_map())
+    for i in range(2):
+        with RayCrawler(_cfg(w, engines=2), w.pages, w.images,
+                        w.robots_map(), str(tmp_path / f"out{i}"),
+                        world_seed=WORLDS[0].seed) as c:
+            assert c.run().as_dict() == oracle.stats()
+    assert wrapped.count(shard_cls) == 1
+    assert wrapped.count(crawler_mod._run_stream_chunk) <= 1
+
+
 def _failing_side_extractor(w):
     """A .side script whose assertText passes on exactly ONE page (page
     data embeds the URL, so it is unique per page): every other OK page

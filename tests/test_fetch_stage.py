@@ -138,7 +138,7 @@ def test_persist_n_links_matches_per_row_count(tmp_path):
 
 
 def _shard():
-    return FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False)
+    return FrontierShard(0, "first", 0.0, 3, None, "R", False)
 
 
 @pytest.mark.parametrize("n_shards", [1, 3])

@@ -32,12 +32,47 @@ def test_lifo_key_reproduces_stack_order():
     assert [u for u, _, _ in out] == ["c", "b", "a"]
 
 
-def test_bfs_key_orders_by_depth_then_arrival():
-    f = _core(key_mode="bfs")
-    f.push([("d1a", 1)])
-    f.push([("d0", 0)])
-    f.push([("d1b", 1)])
-    assert [u for u, _, _ in f.drain(10, 0)] == ["d0", "d1a", "d1b"]
+def _heap_snapshot(mode: str, entries: list[tuple[str, int]]) -> bytes:
+    """A snapshot in the format of the former heap pool, ``entries``
+    pushed in order: ``(key, url, depth)`` heap entries, keyed ``(-seq,)``
+    in LIFO mode and ``(depth, seq)`` in BFS mode, a ``seq`` counter and
+    a five-field ``cfg`` naming the mode."""
+    import heapq
+    import pickle
+
+    heap: list = []
+    for seq, (url, depth) in enumerate(entries, 1):
+        key = (-seq,) if mode == "lifo" else (depth, seq)
+        heapq.heappush(heap, (key, url, depth))
+    return pickle.dumps({
+        "heap": heap, "retry_heap": [(5.0, 1, "r", 2)],
+        "retry_counts": {"r": 1}, "seq": len(entries), "rseq": 1,
+        "robots_dropped": 3, "buckets": None,
+        "cfg": ("first", 0.0, 3, mode, 7)})
+
+
+def test_restore_converts_a_lifo_heap_snapshot_to_the_stack():
+    """A checkpoint of the former heap pool restores onto the stack and
+    drains in the order the heap popped; a push after the restore pops
+    first, as a later push did on the heap."""
+    entries = [(f"https://h.com/{i}", i % 3) for i in range(40)]
+    f = _core()
+    f.restore(_heap_snapshot("lifo", entries))
+    assert (f.retry_policy, f.retry_threshold_ms, f.retry_count,
+            f.shard_id, f.robots_dropped) == ("first", 0.0, 3, 7, 3)
+    f.push([("https://h.com/late", 1)])
+    got = f.drain(100, now_ms=0.0)
+    # the retry, not due before 5 ms, comes out once the pool is empty
+    assert got == ([("https://h.com/late", 0, 1)]
+                   + [(u, 0, d) for u, d in entries[::-1]] + [("r", 1, 2)])
+    g = _core()
+    g.restore(f.snapshot())  # the stack's own format round-trips
+    assert g.heap == f.heap == [] and g.shard_id == 7
+
+
+def test_restore_refuses_a_bfs_keyed_heap_snapshot():
+    with pytest.raises(ValueError, match="key mode 'bfs'"):
+        _core().restore(_heap_snapshot("bfs", [("a", 1), ("b", 0)]))
 
 
 def test_retry_fifo_by_time_and_fire_threshold():
@@ -295,7 +330,7 @@ def test_resumed_buckets_release_at_rate_after_a_clock_reset():
     for the old clock to come back."""
 
     def shard():
-        return FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False,
+        return FrontierShard(0, "first", 0.0, 3, None, "R", False,
                              host_rate_per_sec=10.0, host_burst=4.0)
 
     s = shard()
@@ -311,7 +346,7 @@ def test_resumed_buckets_release_at_rate_after_a_clock_reset():
 
 
 def test_shard_drain_refuses_a_per_host_cap():
-    s = FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False)
+    s = FrontierShard(0, "first", 0.0, 3, None, "R", False)
     s.seed(["https://h.com/a"])
     with pytest.raises(ValueError):
         s.drain(10, 0.0, 2)
@@ -323,7 +358,7 @@ def test_frontier_shard_owns_its_seen_partition():
     snapshot carries both the frontier and the seen set."""
 
     def shard():
-        return FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False)
+        return FrontierShard(0, "first", 0.0, 3, None, "R", False)
 
     s = shard()
     assert s.seed(["u1", "u2", "u1"]) == 2
@@ -347,7 +382,7 @@ import sys
 from doonop_ray.state.frontier import FrontierShard
 
 def shard():
-    return FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False)
+    return FrontierShard(0, "first", 0.0, 3, None, "R", False)
 
 s = shard()
 assert s.seed(["https://a.example.com/"]) == 1
@@ -371,7 +406,7 @@ def test_bucket_state_drops_hosts_refilled_to_burst():
     buckets have not refilled yet (all 50,000 before)."""
     import pickle
 
-    s = FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False,
+    s = FrontierShard(0, "first", 0.0, 3, None, "R", False,
                       host_rate_per_sec=10.0, host_burst=4.0)
     s.seed([f"https://h{i}.com/" for i in range(50_000)])
     for k in range(50):
@@ -388,7 +423,7 @@ def test_bucket_releases_unchanged_by_a_snapshot_round_trip():
     snapshot dropped the hosts whose buckets had refilled."""
 
     def shard():
-        s = FrontierShard(0, "first", 0.0, 3, "lifo", None, "R", False,
+        s = FrontierShard(0, "first", 0.0, 3, None, "R", False,
                           host_rate_per_sec=4.0, host_burst=2.0)
         # host j holds 2 + 3j pages, so hosts run dry at different times
         s.seed([f"https://h{j}.com/{i}" for j in range(7)
