@@ -88,6 +88,37 @@ OPS_BENCH = [
 ]
 
 
+def micro_validate(w, rows: int = 1024, reps: int = 7) -> dict:
+    """Best-of-``reps`` microseconds per row of the ``Validator`` and of
+    ``decode_image`` alone, on the first ``rows`` images of world ``w``
+    (in-process, one CPU: the decode+validate layer without the crawl)."""
+    import pyarrow as pa
+
+    from doonop_ray.codec import decode_image
+    from doonop_ray.stages.fetch import Validator, prep_images_table
+
+    images = prep_images_table(w.images.slice(0, rows))
+    n = images.num_rows
+    v = Validator(images, w.params.seed, img_min=w.params.img_min,
+                  img_max=w.params.img_max)
+    batch = pa.table({"image_id": images.column("image_id")})
+    pairs = list(zip(images.column("bytes").to_pylist(),
+                     images.column("fmt").to_pylist()))
+
+    def best_us(fn) -> float:
+        times = []
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        return round(min(times) / max(n, 1) * 1e6, 1)
+
+    return {"rows": n, "reps": reps,
+            "validate_us_per_row": best_us(lambda: v(batch)),
+            "decode_us_per_row": best_us(
+                lambda: [decode_image(b, f) for b, f in pairs])}
+
+
 def run_bench(sf_dir: str, num_cpus: int, include_ops: bool = True) -> dict:
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     ray = _init_ray(num_cpus)
@@ -125,7 +156,9 @@ def run_bench(sf_dir: str, num_cpus: int, include_ops: bool = True) -> dict:
                                           "settle_sec", "boot_sec",
                                           "boot_visited", "idle_sec",
                                           "chunks", "peak_inflight",
-                                          "underfill_sec")}
+                                          "underfill_sec",
+                                          "driver_cpu_sec",
+                                          "driver_proc_cpu_sec")}
     crawl_sec = min(runs)
     visited = len(df)
     ok = df[df["status"] == "ok"]
@@ -164,6 +197,7 @@ def run_bench(sf_dir: str, num_cpus: int, include_ops: bool = True) -> dict:
         "pages_per_sec": round(visited / crawl_sec, 1),
         "runs": runs,
         "stages": stages,
+        "micro": micro_validate(w),
     }
     ray.shutdown()
     return result

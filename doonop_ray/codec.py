@@ -181,6 +181,15 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     return float(10.0 * np.log10(255.0 * 255.0 / mse))
 
 
+def psnr_from_sse(sse: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """``psnr`` of many image pairs from each pair's squared-error sum
+    (the float32 dot ``psnr`` takes) and element count: the same float64
+    operations over arrays, so equal to ``psnr`` bit for bit."""
+    mse = sse / size
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(255.0 * 255.0 / mse)
+
+
 def phash64(pixels: np.ndarray) -> int:
     """64-bit average-hash: 8x8 block-mean grayscale thresholded at its mean.
 

@@ -639,6 +639,9 @@ class RayCrawler:
         import ray
 
         t_start = time.monotonic()
+        # the loop thread's CPU and the whole driver process's (Ray's
+        # core-worker threads, the seeder thread) over this run
+        cpu_start = (time.thread_time(), time.process_time())
         cfg = self.cfg
         if not (resume and cfg.checkpoint_dir) and os.path.isdir(self.out_dir):
             import shutil
@@ -969,6 +972,9 @@ class RayCrawler:
             "boot_sec": round(boot_sec, 3),
             "boot_visited": boot_visited,
             "stage_sec": {k: round(v, 3) for k, v in stage_sec.items()},
+            "driver_cpu_sec": round(time.thread_time() - cpu_start[0], 3),
+            "driver_proc_cpu_sec": round(
+                time.process_time() - cpu_start[1], 3),
             "stats": stats.as_dict(),
             "artifact_files": len(self._list_artifact_files()),
             "seen_count": sum(o["count"] for o in occ),

@@ -74,33 +74,38 @@ def page_url(h: int, i: int) -> str:
     return f"https://{host_name(h)}/p/{i}"
 
 
+def image_index(image_id: str) -> int:
+    """The integer after an image id's first ``-`` (``img-0000042`` →
+    42), which seeds its truth. Raises IndexError or ValueError for an
+    id without one."""
+    return int(image_id.split("-")[1])
+
+
 def expected_pixels(image_id: str, seed: int, img_min: int = 16,
                     img_max: int = 40) -> np.ndarray:
     """Regenerate the ground-truth pixels for an image_id — a pure
     function of (image_id, seed, size bounds).
 
-    Deliberately cheap and allocation-light: at bench scale the
-    validator regenerates truth for every page, and this stand-in must
-    not drown the *real* work (entropy decode + PSNR) it harnesses.
-    The round-3 profile on the heavy world measured the original
-    per-channel float outer-product + bounded-rejection noise sampler
-    at ~430-500 us/row vs ~315 us/row for the actual PNG/JPEG decode,
-    so this is now engineered down to ~235 us/row without losing any
-    workload realism:
+    This is the definition of truth: the world builder encodes it, the
+    ``image_validate`` check recomputes it driver-side, and
+    ``TruthBatch`` (the ``Validator``'s chunk path) is tested bit for
+    bit against it (``tests/test_properties.py``).
 
-    - texture is a SUM of two per-channel sinusoidal gradients (a
-      separable uint8 broadcast add in channel-major layout — no
-      float (h,w,3) temp; the old product form forced a 150 KB float32
-      temp whose alloc+astype dominated);
-    - full-resolution 2D noise comes from raw SFC64 generator bytes
-      masked to 3 bits (bounded-rejection 0..9 draws cost 122 us/row;
-      2D noise is kept so PNG/JPEG blob entropy stays realistic);
-    - the HWC transpose is fused into the noise add (the standalone
-      ascontiguousarray gather was 123 us/row);
-    - ramps are lru_cached (np.linspace pays an errstate context
-      manager per call) and the bit generator is SFC64 (~2x PCG64 raw
-      byte rate; determinism per (image_id, seed) is unchanged)."""
-    idx = int(image_id.split("-")[1])
+    It is kept cheap so that it does not drown the real work it
+    harnesses (entropy decode + PSNR). Per image, an SFC64 generator
+    (~2x PCG64's raw byte rate) seeded with ``[seed, 7919, index]``
+    draws the width and height, then per-channel frequencies and
+    phases; the texture is a SUM of a sinusoidal ramp down the rows and
+    a cosine ramp across the columns (uint8, no float (h, w, 3) temp),
+    and full-resolution noise is the generator's next ``h*w*3`` raw
+    bytes masked to 3 bits (2D noise keeps the PNG/JPEG blobs' entropy
+    realistic), added in HWC order. Ramps are lru_cached (np.linspace
+    pays an errstate context manager per call).
+
+    Cost on one CPU (56-72 px): ~110 us/image, of which the generator's
+    construction, draws and noise bytes are about half, so the chunk
+    validator seeds its generators together (``TruthBatch``) instead."""
+    idx = image_index(image_id)
     rng = np.random.Generator(np.random.SFC64([seed, 7919, idx]))
     w = int(rng.integers(img_min, img_max + 1))
     h = int(rng.integers(img_min, img_max + 1))
@@ -125,11 +130,198 @@ def _ramp(n: int) -> np.ndarray:
     return np.linspace(0.0, 0.5, n, dtype=np.float32)
 
 
+# NumPy's SeedSequence (a pool of four 32-bit words) and SFC64 seeding,
+# restated over arrays so that a chunk's generators are seeded in one
+# pass (numpy/random/bit_generator.pyx, _sfc64.pyx; both are fixed-integer
+# algorithms). TruthBatch checks itself against expected_pixels once per
+# (seed, bounds) and process, so a NumPy whose streams differ falls back
+# to expected_pixels rather than to wrong truth.
+_M32 = 0xFFFFFFFF
+_SS_POOL = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_SS_XSHIFT = np.uint32(16)
+_TWO_PI = np.float32(2 * np.pi)
+
+
+def _ss_hashmix(v, const: int):
+    """SeedSequence's ``hashmix``; returns the value and the next hash
+    constant (a scalar sequence, the same for every row)."""
+    v = v ^ np.uint32(const)
+    const = const * _SS_MULT_A & _M32
+    v = v * np.uint32(const)
+    return v ^ (v >> _SS_XSHIFT), const
+
+
+def _ss_mix(x, y):
+    r = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+    return r ^ (r >> _SS_XSHIFT)
+
+
+def _sfc64_seed_state(words) -> list:
+    """``SFC64(SeedSequence(words))``'s state ``[a, b, c, counter]`` per
+    row; ``words`` are the entropy words, uint32 arrays or scalars."""
+    const = _SS_INIT_A
+    pool = []
+    for i in range(_SS_POOL):
+        v, const = _ss_hashmix(words[i] if i < len(words) else np.uint32(0),
+                               const)
+        pool.append(v)
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                h, const = _ss_hashmix(pool[src], const)
+                pool[dst] = _ss_mix(pool[dst], h)
+    # generate_state(3, uint64): six words, little-endian pairs
+    const = _SS_INIT_B
+    half = []
+    for i in range(6):
+        v = pool[i % _SS_POOL] ^ np.uint32(const)
+        const = const * _SS_MULT_B & _M32
+        v = v * np.uint32(const)
+        half.append((v ^ (v >> _SS_XSHIFT)).astype(np.uint64))
+    s = [half[2 * k] | (half[2 * k + 1] << np.uint64(32)) for k in range(3)]
+    s.append(np.uint64(1))
+    for _ in range(12):
+        _sfc64_next(s)
+    return s
+
+
+def _sfc64_next(s: list):
+    """One SFC64 output per row; advances ``s`` in place."""
+    a, b, c, n = s
+    out = a + b + n
+    s[0] = b ^ (b >> np.uint64(11))
+    s[1] = c + (c << np.uint64(3))
+    s[2] = ((c << np.uint64(24)) | (c >> np.uint64(40))) + out
+    s[3] = n + np.uint64(1)
+    return out
+
+
+def _may_redraw(leftover, rng_excl):
+    """Rows whose Lemire size draw may be rejected and redrawn: NumPy
+    compares a leftover below the range with the exact threshold."""
+    return leftover < rng_excl
+
+
+def _ramp_chain(f, p, sizes, fn):
+    """Every row's ``61 + 45·fn(2π·f·ramp + p)`` in ONE float32 chain
+    with expected_pixels' operations (channel-major, in place), stacked
+    as (Σ sizes, 3) uint8; also the row offsets."""
+    at = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(sizes, out=at[1:])
+    t = np.repeat((_TWO_PI * f).T, sizes, axis=1)
+    t *= np.concatenate([_ramp(k) for k in sizes.tolist()])
+    t += np.repeat(p.T, sizes, axis=1)
+    fn(t, out=t)
+    t *= np.float32(45.0)
+    t += np.float32(61.0)
+    return t.T.astype(np.uint8, order="C"), at
+
+
+class TruthBatch:
+    """``expected_pixels`` for a batch of image indices under one seed
+    and one pair of size bounds, with the per-image generator work done
+    once for the batch.
+
+    In numpy, over every row: the seeding of each image's SFC64, both
+    size draws (the low and then the high half of one output), both
+    ``uniform((3, 2))`` draws, and the sine and cosine ramps. Per row,
+    ``pixels(k)`` keeps only what is the image's own: its noise bytes
+    (one reused SFC64, set to the row's state) and the texture add, in
+    an (h, 3w) layout — HWC order, the order the PSNR reads.
+
+    ``scalar[k]`` marks the rows that must take ``expected_pixels``
+    instead: an index outside [0, 2**32) (more than one entropy word) or
+    a size draw that may be redrawn. ``supports`` says whether a seed
+    and bounds can be batched at all."""
+
+    def __init__(self, idx: list[int], seed: int, img_min: int,
+                 img_max: int):
+        n = len(idx)
+        inside = np.array([0 <= i <= _M32 for i in idx], dtype=bool)
+        word = np.array([i if ok else 0 for i, ok in zip(idx, inside)],
+                        dtype=np.uint32)
+        self.scalar = ~inside
+        with np.errstate(over="ignore"):
+            s = _sfc64_seed_state([np.uint32(seed), np.uint32(7919), word])
+            rng = img_max - img_min
+            if rng:
+                x = _sfc64_next(s)
+                ex = np.uint64(rng + 1)
+                lo_m = (x & np.uint64(_M32)) * ex
+                hi_m = (x >> np.uint64(32)) * ex
+                self.w = (lo_m >> np.uint64(32)).astype(np.int64) + img_min
+                self.h = (hi_m >> np.uint64(32)).astype(np.int64) + img_min
+                self.scalar |= _may_redraw(lo_m & np.uint64(_M32), ex)
+                self.scalar |= _may_redraw(hi_m & np.uint64(_M32), ex)
+            else:
+                self.w = self.h = np.full(n, img_min, np.int64)
+            # uniform(lo, hi, (3, 2)): lo + (hi - lo) * next_double, six
+            # outputs each, then expected_pixels' float32 cast
+            u = np.empty((12, n))
+            for j in range(12):
+                u[j] = (_sfc64_next(s) >> np.uint64(11)) * (1.0 / 2**53)
+        f = (1.0 + 4.0 * u[:6].T).astype(np.float32).reshape(n, 3, 2)
+        p = (0.0 + (2 * np.pi) * u[6:].T).astype(np.float32).reshape(n, 3, 2)
+        self._state = np.stack(np.broadcast_arrays(*s), axis=1)
+        ay, ay_at = _ramp_chain(f[:, :, 0], p[:, :, 0], self.h, np.sin)
+        bx, bx_at = _ramp_chain(f[:, :, 1], p[:, :, 1], self.w, np.cos)
+        # each row's 3 channel bytes, 8 times over: a 24-byte (3 x
+        # uint64) unit whose row-wise repeat IS the (h, 3w) row texture
+        self._ay8 = np.tile(ay, 8).view(np.uint64)
+        self._bx = bx
+        # the per-row loop reads Python ints
+        self.h, self.w = self.h.tolist(), self.w.tolist()
+        self.scalar = self.scalar.tolist()
+        self._ay_at, self._bx_at = ay_at.tolist(), bx_at.tolist()
+        self._bitgen = np.random.SFC64(0)
+
+    @staticmethod
+    def supports(seed: int, img_min: int, img_max: int) -> bool:
+        """True for a seed of one entropy word and bounds whose size draw
+        is a Lemire draw on 32 bits (or no draw), that NumPy computes as
+        this class restates them."""
+        return (0 <= seed <= _M32 and 1 <= img_min <= img_max < 2**31
+                and _agrees(seed, img_min, img_max))
+
+    def pixels(self, k: int) -> np.ndarray:
+        """Row ``k``'s truth as an (h, 3w) uint8 array (``k`` must not be
+        ``scalar``); its (h, w, 3) reshape is ``expected_pixels``."""
+        h, w = self.h[k], self.w[k]
+        self._bitgen.state = {"bit_generator": "SFC64",
+                              "state": {"state": self._state[k]},
+                              "has_uint32": 0, "uinteger": 0}
+        nb = h * w * 3
+        raw = self._bitgen.random_raw(-(-nb // 8)).astype("<u8", copy=False)
+        out = raw.view(np.uint8)[:nb].reshape(h, 3 * w)
+        np.bitwise_and(out, np.uint8(7), out=out)
+        b = self._bx_at[k]
+        out += self._bx[b:b + w].reshape(1, 3 * w)
+        a = self._ay_at[k]
+        ay = np.repeat(self._ay8[a:a + h], -(-w // 8), axis=0)
+        out += ay.view(np.uint8).reshape(h, -1)[:, :3 * w]
+        return out
+
+
+@functools.lru_cache(maxsize=64)
+def _agrees(seed: int, img_min: int, img_max: int) -> bool:
+    """TruthBatch reproduces expected_pixels on a few indices (checked
+    once per seed and bounds)."""
+    probe = [0, 1, 7919, _M32]
+    tb = TruthBatch(probe, seed, img_min, img_max)
+    return all(tb.scalar[k] or np.array_equal(
+        tb.pixels(k).reshape(tb.h[k], tb.w[k], 3),
+        expected_pixels(f"img-{i}", seed, img_min, img_max))
+        for k, i in enumerate(probe))
+
+
 def expected_caption(image_id: str, seed: int) -> str:
     """Pure function of (image_id, seed); blake2b word picks instead of
     a numpy Generator — the per-row RNG construction alone cost 23 us
     and the validator pays this once per page (4 us now)."""
-    idx = int(image_id.split("-")[1])
+    idx = image_index(image_id)
     d = hashlib.blake2b(b"%d:%d" % (seed, idx), digest_size=12).digest()
     nw = len(CAPTION_WORDS)
     words = [CAPTION_WORDS[int.from_bytes(d[i:i + 2], "little") % nw]

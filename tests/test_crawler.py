@@ -253,8 +253,8 @@ def test_scaled_resume_from_checkpoint(ray_session, tmp_path):
 def test_stream_metrics_schema(ray_session, tmp_path, kind):
     """Every run mode appends the same ``_stream_metrics.jsonl`` row: the
     crawl-loop timers, the boot (a seed Dataset's crawl boots too), the
-    summed in-task stage seconds, the seen occupancy and the run's stats,
-    equal to what ``run()`` returned."""
+    summed in-task stage seconds, the driver's CPU seconds, the seen
+    occupancy and the run's stats, equal to what ``run()`` returned."""
     import json
 
     import ray.data as rd
@@ -277,7 +277,8 @@ def test_stream_metrics_schema(ray_session, tmp_path, kind):
     row = rows[0]
     assert {"run_idx", "run_dir", "chunks", "loops", "drain_sec",
             "wait_sec", "idle_sec", "seed_sec", "settle_sec", "boot_sec",
-            "boot_visited", "stage_sec", "stats", "artifact_files",
+            "boot_visited", "stage_sec", "driver_cpu_sec",
+            "driver_proc_cpu_sec", "stats", "artifact_files",
             "seen_count", "seen_stash"} <= set(row)
     assert 0 <= row["seed_sec"] and 0 <= row["settle_sec"]
     assert row["boot_sec"] > 0
@@ -291,6 +292,7 @@ def test_stream_metrics_schema(ray_session, tmp_path, kind):
     engines = kw["engines"]
     assert 1 <= row["peak_inflight"] <= engines + max(1, engines // 4)
     assert 0 <= row["underfill_sec"]
+    assert row["driver_cpu_sec"] >= 0 and row["driver_proc_cpu_sec"] >= 0
     assert _artifact_rows(tmp_path / "out") == stats.visited
 
 

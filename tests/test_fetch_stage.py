@@ -3,6 +3,7 @@ resolved and filtered per batch with the scalar ``make_absolute`` as the
 reference, non-ok rows carry no links, and part files get a
 deterministic name."""
 
+import math
 import os
 
 import pyarrow as pa
@@ -12,8 +13,9 @@ import pytest
 from doonop_ray.filters import FilterSpec
 from doonop_ray.pipelines.crawler import (chunk_signature, make_link_router,
                                           make_persist_fn)
-from doonop_ray.stages.fetch import (Fetcher, Validator, _fetch_key,
-                                     make_validate_fn, prep_images_table)
+from doonop_ray.stages.fetch import (BATCH_TRUTH_MIN_ROWS, Fetcher, Validator,
+                                     _fetch_key, make_validate_fn,
+                                     prep_images_table)
 from doonop_ray.synth import WorldParams, build_world
 from doonop_ray.state.frontier import FrontierShard
 from doonop_ray.state.seen import host_shard_of
@@ -102,6 +104,25 @@ def test_validate_fn_cache_is_keyed_on_every_validator_input():
                          img_max=hi)(batch)
         assert got.to_pandas().equals(want.to_pandas()), (world_seed, lo,
                                                           hi, emit)
+
+
+@pytest.mark.parametrize("n_good", [1, BATCH_TRUTH_MIN_ROWS])
+def test_a_malformed_image_id_fails_its_row_not_the_chunk(n_good):
+    """An images row whose id has no ``-<int>`` part validates like a
+    blob that does not decode (``pixel_ok`` False, ``psnr_db`` NaN, no
+    metadata), on the per-row path and on the chunk path; the other rows
+    of the chunk validate."""
+    good = WORLD.images.slice(0, n_good)
+    bad = good.slice(0, 1).set_column(0, "image_id", pa.array(["cat.png"]))
+    images = prep_images_table(pa.concat_tables([good, bad]))
+    ids = good.column("image_id").to_pylist() + ["cat.png"]
+    out = Validator(images, WORLD.params.seed)(pa.table({"image_id": ids}))
+    assert out.column("pixel_ok").to_pylist() == [True] * n_good + [False]
+    assert out.column("caption_ok").to_pylist() == [True] * n_good + [False]
+    psnr = out.column("psnr_db").to_pylist()
+    assert all(p >= 40.0 for p in psnr[:-1]) and math.isnan(psnr[-1])
+    assert out.column("fmt").to_pylist()[-1] is None
+    assert out.column("caption").to_pylist()[-1] is None
 
 
 def test_persist_name_is_deterministic_per_chunk(tmp_path):

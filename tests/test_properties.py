@@ -673,3 +673,218 @@ def test_prefix_keys_matches_duckdb_token_slice(texts, n):
     # DuckDB (array_to_string of an empty list); the oracle corpora
     # never contain token-less documents, so equivalence is modulo that
     assert got == [r[0] if r[0] is not None else "" for r in want]
+
+
+# ---------------------------------------------------------------------------
+# the Validator's chunk truth (synth.TruthBatch) against the per-row path
+# ---------------------------------------------------------------------------
+
+
+_bounds = st.integers(1, 24).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.integers(lo, lo + 16)))
+
+
+@given(st.lists(st.one_of(st.integers(0, 2**32 - 1),
+                          st.integers(2**32, 2**40)), min_size=1,
+                max_size=24),
+       st.integers(0, 2**32 - 1), _bounds)
+@example([0, 1, 2**32 - 1, 2**32], 0, (16, 16))  # no size draw at all
+@example([5, 7919], 2**32 - 1, (1, 1))
+@settings(max_examples=60, deadline=None)
+def test_truth_batch_equals_expected_pixels(indices, seed, bounds):
+    """The chunk path's truth, seeded in one numpy pass, is
+    ``expected_pixels`` bit for bit: shape, dtype and every byte. Only
+    an index of more than one entropy word (or a size draw that may be
+    redrawn) is left to the scalar path."""
+    from doonop_ray.synth import TruthBatch, expected_pixels
+
+    lo, hi = bounds
+    ids = [f"img-{i}" for i in indices]
+    want = [expected_pixels(i, seed, lo, hi) for i in ids]
+    tb = TruthBatch(indices, seed, lo, hi)
+    for k, i in enumerate(indices):
+        if i >= 2**32:
+            assert tb.scalar[k]
+        if tb.scalar[k]:
+            continue
+        got = tb.pixels(k)
+        assert got.dtype == np.uint8
+        assert (tb.h[k], tb.w[k], 3) == want[k].shape
+        assert np.array_equal(got.reshape(want[k].shape), want[k])
+    # its self-check agrees, so the Validator takes the chunk path
+    assert TruthBatch.supports(seed, lo, hi)
+
+
+def _validate_reference(batch, images, seed, emit, lo, hi, psnr_min=40.0):
+    """The per-row Validator: ``expected_pixels`` + ``codec.psnr`` +
+    ``expected_caption`` for each row, in plain Python. A row whose id is
+    unknown, has no ``-<int>`` part or does not decode keeps the
+    defaults (NaN PSNR, False flags, null metadata)."""
+    import pyarrow as pa
+
+    from doonop_ray.codec import decode_image
+    from doonop_ray.synth import expected_caption, expected_pixels
+
+    meta = {r["image_id"]: r for r in images.to_pylist()}
+    cols = {c: [] for c in ("caption", "fmt", "phash", "caption_ok",
+                            "pixel_ok", "psnr_db", "bytes")}
+    for iid in batch.column("image_id").to_pylist():
+        row = dict(caption=None, fmt=None, phash=0, caption_ok=False,
+                   pixel_ok=False, psnr_db=float("nan"), bytes=None)
+        m = meta.get(iid)
+        pix = truth = None
+        if m is not None:
+            try:
+                pix = decode_image(m["bytes"], m["fmt"])
+            except Exception:
+                pass
+            try:
+                truth = expected_pixels(iid, seed, lo, hi)
+            except (IndexError, ValueError):  # no -<int> part
+                pass
+            if pix is not None and truth is not None:
+                p = psnr(truth, pix)
+                row.update(
+                    caption=m["caption"], fmt=m["fmt"], phash=m["phash"],
+                    caption_ok=m["caption"] == expected_caption(iid, seed),
+                    pixel_ok=p >= psnr_min,
+                    psnr_db=p if np.isfinite(p) else 999.0,
+                    bytes=m["bytes"] if emit else None)
+        for c, v in row.items():
+            cols[c].append(v)
+    out = dict(zip(batch.column_names, batch.columns))
+    types = dict(caption=pa.string(), fmt=pa.string(), phash=pa.int64(),
+                 caption_ok=pa.bool_(), pixel_ok=pa.bool_(),
+                 psnr_db=pa.float64(), bytes=pa.binary())
+    for c, t in types.items():
+        if c != "bytes" or emit:
+            out[c] = pa.array(cols[c], t)
+    return pa.table(out)
+
+
+def _assert_same_validation(got, want):
+    assert got.schema == want.schema
+    for c in got.column_names:
+        if c == "psnr_db":  # bit for bit, NaN and 999 positions included
+            g = got.column(c).to_numpy().view(np.int64)
+            w = want.column(c).to_numpy().view(np.int64)
+            assert np.array_equal(g, w)
+        else:
+            assert got.column(c).to_pylist() == want.column(c).to_pylist(), c
+
+
+@st.composite
+def _validator_inputs(draw):
+    """An images table built under (seed, bounds) — both formats, mixed
+    sizes, corrupt blobs, blobs of another image or size, wrong
+    captions, malformed ids — and a batch over it with unknown and null
+    ids."""
+    import pyarrow as pa
+
+    from doonop_ray.codec import encode_image
+    from doonop_ray.synth import expected_caption, expected_pixels
+
+    # one seed in four and one index in eight take more than one
+    # entropy word: the scalar path
+    seed = draw(st.integers(0, 2**32 - 1)) + 2**32 * (
+        draw(st.integers(0, 3)) == 0)
+    lo, hi = draw(_bounds)
+    n_img = draw(st.integers(1, 28))
+    indices = sorted({draw(st.integers(0, 10**7)) + 2**32 * (
+        draw(st.integers(0, 7)) == 0) for _ in range(n_img)})
+    ids = [f"img-{i:07d}" for i in indices]
+    malformed = draw(st.lists(st.sampled_from(["cat.png", "img-x", "img--3",
+                                               "img"]), max_size=2,
+                              unique=True))
+    rows = []
+    for iid in ids + malformed:
+        # a malformed id carries a valid blob of another image
+        good = iid if iid in ids else ids[0]
+        truth = expected_pixels(good, seed, lo, hi)
+        fmt = draw(st.sampled_from(["png", "jpeg"]))
+        kind = draw(st.sampled_from(["ok"] * 10 + ["truncated", "garbage",
+                                                  "other", "resized"]))
+        if kind == "other":
+            truth = truth.copy()
+            truth[0, 0, 0] ^= 0x40
+        elif kind == "resized":
+            truth = np.concatenate([truth, truth[:1]], axis=0)
+        blob = encode_image(truth, fmt)
+        if kind == "truncated":
+            blob = blob[:len(blob) // 2]
+        elif kind == "garbage":
+            blob = blob[:8] + bytes(len(blob) - 8)
+        caption = (expected_caption(good, seed) if draw(st.booleans())
+                   else "wrong caption")
+        rows.append(dict(image_id=iid, bytes=blob, fmt=fmt,
+                         caption=caption, phash=draw(st.integers(-9, 9))))
+    images = pa.table({
+        "image_id": pa.array([r["image_id"] for r in rows], pa.string()),
+        "bytes": pa.array([r["bytes"] for r in rows], pa.binary()),
+        "fmt": pa.array([r["fmt"] for r in rows], pa.string()),
+        "caption": pa.array([r["caption"] for r in rows], pa.string()),
+        "phash": pa.array([r["phash"] for r in rows], pa.int64()),
+    })
+    n = draw(st.integers(1, 40))
+    pick = draw(st.lists(st.sampled_from(ids + malformed
+                                         + ["img-9999999", None]),
+                         min_size=n, max_size=n))
+    batch = pa.table({"url": pa.array([f"u{k}" for k in range(len(pick))]),
+                      "image_id": pa.array(pick, pa.string())})
+    return images, batch, seed, lo, hi
+
+
+@pytest.mark.parametrize("min_rows", [None, 1])
+@given(_validator_inputs(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_batch_validator_equals_per_row_reference(min_rows, inputs, emit):
+    """The Validator's whole output table equals the per-row reference,
+    ``psnr_db`` bit for bit. ``min_rows=1`` sends even 1-row batches
+    down the chunk path; by default they keep ``expected_pixels``."""
+    from doonop_ray.stages import fetch
+
+    images, batch, seed, lo, hi = inputs
+    v = fetch.Validator(fetch.prep_images_table(images), seed, emit,
+                        img_min=lo, img_max=hi)
+    assert v._batchable == (seed < 2**32)
+    old = fetch.BATCH_TRUTH_MIN_ROWS
+    fetch.BATCH_TRUTH_MIN_ROWS = min_rows or old
+    try:
+        got = v(batch)
+    finally:
+        fetch.BATCH_TRUTH_MIN_ROWS = old
+    _assert_same_validation(
+        got, _validate_reference(batch, images, seed, emit, lo, hi))
+
+
+def test_validator_rows_the_batch_cannot_restate_take_expected_pixels(
+        monkeypatch):
+    """With every size draw marked as one that may be redrawn, every row
+    of a chunk-sized batch takes ``expected_pixels``, and the output is
+    still the reference."""
+    import pyarrow as pa
+
+    from doonop_ray import synth
+    from doonop_ray.stages import fetch
+
+    w = synth.build_world(synth.WorldParams(seed=7, n_hosts=3,
+                                            pages_per_host=12))
+    ids = w.images.column("image_id")
+    assert len(ids) >= fetch.BATCH_TRUTH_MIN_ROWS
+    batch = pa.table({"image_id": ids})
+    images = fetch.prep_images_table(w.images)
+    v = fetch.Validator(images, 7)
+    assert v._batchable
+    monkeypatch.setattr(synth, "_may_redraw",
+                        lambda leftover, rng_excl: np.ones(len(leftover),
+                                                           dtype=bool))
+
+    def batch_row(self, k):
+        raise AssertionError("a row left to the scalar path was batched")
+
+    monkeypatch.setattr(synth.TruthBatch, "pixels", batch_row)
+    got = v(batch)
+    assert got.column("pixel_ok").to_pylist() == [True] * len(ids)
+    _assert_same_validation(
+        got, _validate_reference(batch, w.images.drop_columns(["w", "h"]),
+                                 7, False, 16, 40))
