@@ -272,10 +272,14 @@ def run_skew(num_cpus: int) -> dict:
     """Skew-adversarial crawl: the "skew" world (host 0 holds 50% of
     all pages; same total page count + payload sizes as the "0.1"
     bench tier) vs the uniform-Zipf bench world, same bulk-seeded
-    flagship crawl, best-of-2 each after a warm-up. The claim under
-    test (SURVEY §4): salted groupby(host) expansion + per-host
-    politeness bound the hot reducer, so the skewed world's wall time
-    stays within ~1.5x of the uniform world at equal page count."""
+    flagship crawl, best-of-2 each after a warm-up. The ratio
+    measures what one hot host costs the crawl loop: the frontier and
+    seen sets are partitioned by host, so half of all pages sit on one
+    shard, which releases at most 8 × fetch_batch_size of them per
+    loop turn, while the chunk tasks that fetch and validate them
+    spread over every engine. No politeness runs here (no
+    ``host_rate_per_sec`` is set), and there is no per-host groupby to
+    salt. A ratio near 1 says the hot shard does not bound the crawl."""
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     ray = _init_ray(num_cpus)
 

@@ -166,28 +166,33 @@ def decode_image(data: bytes, fmt: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB between two uint8 images."""
-    if a.shape != b.shape:
-        return 0.0
-    # ONE float32 temp: in-place buffered-cast subtract, then a BLAS dot
-    # (the old int16→int16→float32 chain made 4 image-sized temps; this
-    # stage is the crawl's memory-bandwidth hot spot at 32-way)
-    d = a.reshape(-1).astype(np.float32)
-    np.subtract(d, b.reshape(-1), out=d, casting="unsafe")
-    mse = float(np.dot(d, d)) / d.size
-    if mse == 0:
-        return float("inf")
-    return float(10.0 * np.log10(255.0 * 255.0 / mse))
+def squared_error(a: np.ndarray, b: np.ndarray) -> np.float32:
+    """Sum of squared differences of two same-size uint8 images.
+
+    ONE float32 temp (a buffered-cast subtract), then a BLAS dot: this
+    stage is the crawl's memory-bandwidth hot spot at 32-way. Every
+    difference is exact in float32, so the shapes of ``a`` and ``b``
+    do not change the sum."""
+    d = np.subtract(a.reshape(-1), b.reshape(-1), dtype=np.float32)
+    return np.dot(d, d)
 
 
 def psnr_from_sse(sse: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """``psnr`` of many image pairs from each pair's squared-error sum
-    (the float32 dot ``psnr`` takes) and element count: the same float64
-    operations over arrays, so equal to ``psnr`` bit for bit."""
-    mse = sse / size
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(255.0 * 255.0 / mse)
+    """Peak signal-to-noise ratio in dB of many image pairs from each
+    pair's squared-error sum (``squared_error``) and element count. A
+    pair whose shapes differ has ``size`` 0 and reads 0.0 dB; identical
+    images read ``inf``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = 10.0 * np.log10(255.0 * 255.0 / (sse / size))
+    return np.where(size > 0, p, 0.0)
+
+
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """``psnr_from_sse`` of one pair of uint8 images."""
+    size = a.size if a.shape == b.shape else 0
+    sse = squared_error(a, b) if size else 0.0
+    return float(psnr_from_sse(np.array([sse], np.float64),
+                               np.array([size], np.float64))[0])
 
 
 def phash64(pixels: np.ndarray) -> int:

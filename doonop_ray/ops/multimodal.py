@@ -234,10 +234,10 @@ class ImageResizer:
 
     def __init__(self, images_ref, size: int = 16):
         from ..codec import decode_image
-        from ..stages.fetch import _combined_view, _deref, blob_view
+        from ..stages.fetch import _deref, blob_view
 
         t = _deref(images_ref)
-        self.tab = _combined_view(t.select(["image_id", "fmt"]))
+        self.tab = t.select(["image_id", "fmt"]).combine_chunks()
         self._blobs = blob_view(t)
         self._decode = decode_image
         self.size = size
@@ -360,10 +360,10 @@ class ImageCurator:
 
     def __init__(self, images_ref):
         from ..codec import decode_image
-        from ..stages.fetch import _combined_view, _deref, blob_view
+        from ..stages.fetch import _deref, blob_view
 
         t = _deref(images_ref)
-        self.tab = _combined_view(t.select(["image_id", "fmt"]))
+        self.tab = t.select(["image_id", "fmt"]).combine_chunks()
         self._blobs = blob_view(t)
         self._decode = decode_image
 
@@ -459,10 +459,10 @@ class ChannelMomentPartials:
 
     def __init__(self, images_ref):
         from ..codec import decode_image
-        from ..stages.fetch import _combined_view, _deref, blob_view
+        from ..stages.fetch import _deref, blob_view
 
         t = _deref(images_ref)
-        self.tab = _combined_view(t.select(["image_id", "fmt"]))
+        self.tab = t.select(["image_id", "fmt"]).combine_chunks()
         self._blobs = blob_view(t)
         self._decode = decode_image
 
@@ -721,11 +721,11 @@ class _PerImageFeatureStage:
 
     def __init__(self, images_ref):
         from ..codec import decode_image
-        from ..stages.fetch import _combined_view, _deref, blob_view
+        from ..stages.fetch import _deref, blob_view
 
         t = _deref(images_ref)
-        self.tab = _combined_view(
-            t.select(["image_id", "fmt", *self.EXTRA_COLS]))
+        self.tab = t.select(
+            ["image_id", "fmt", *self.EXTRA_COLS]).combine_chunks()
         self._blobs = blob_view(t)
         self._decode = decode_image
 

@@ -446,8 +446,9 @@ class RayCrawler:
         # images may then be None
         self.fetch_backend = fetch_backend
         # combine chunks ONCE here (no-op when the caller pre-combined):
-        # a worker-side combine_chunks would copy the whole broadcast
-        # table in every worker (O(workers x table) memory traffic)
+        # a worker's Table.combine_chunks then keeps the broadcast
+        # buffers, where one of several chunks per column would copy
+        # the whole table in every worker
         self.pages = pages.combine_chunks() if pages is not None else None
         from ..stages.fetch import prep_images_table
 
@@ -701,11 +702,6 @@ class RayCrawler:
                 seeds = clean_seeds(cfg.seeds, self.filters)
             else:
                 seeds = sorted(set(cfg.seeds))
-            if not seeds and run_idx == 0:
-                # nothing to do on a fresh run (the actors are as empty
-                # as the boot shards); a RESUME with no live seeds must
-                # still crawl what was restored and report its stats
-                return stats
             if seeds:
                 self._seed_frontier(ray, seeds)
             seed_done = time.monotonic()

@@ -37,9 +37,10 @@ _TIERS = {
     "scalehq": dict(n_hosts=40, pages_per_host=600, img=(96, 128)),
     # skew-adversarial twin of the bench tier: SAME total page count
     # and payload sizes as "0.1", but host 0 holds 50% of all pages
-    # (and, via intra-host links, ~40%+ of all link targets) — the
-    # measured evidence that salted host expansion + politeness bound
-    # the hot reducer (bench.py --skew reports skew/uniform wall-time)
+    # (and, via intra-host links, ~40%+ of all link targets), so they
+    # all sit on one host-partitioned frontier shard (bench.py --skew
+    # reports skew/uniform wall-time of the bulk crawl, which sets no
+    # politeness rate)
     "skew": dict(n_hosts=40, pages_per_host=600, img=(56, 72), hot=0.5),
 }
 _WORLD_CACHE_VERSION = 6  # v6: cheap-truth expected_pixels/_caption rewrite

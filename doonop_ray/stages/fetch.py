@@ -1,27 +1,30 @@
-"""Fetch stage — the reference's Engine/Backend re-expressed as a Ray
-Data actor-pool `map_batches` callable.
+"""Fetch stage — the reference's Engine/Backend re-expressed as callables
+that the crawl's chunk tasks run, each built once per Ray worker process
+and cached there (``make_fetch_fn`` / ``make_validate_fn``).
 
 Reference mapping:
 - engine session construction happens once per engine
-  (/root/reference/src/engine_builder.rs:93-136, engine_ring.rs:32-49)
-  → here: ``Fetcher.__init__`` runs once per actor (index build /
-  session setup), ``__call__`` per Arrow batch;
+  (src/engine_builder.rs:93-136, engine_ring.rs:32-49)
+  → here: ``Fetcher.__init__`` runs once per worker process (index
+  build / session setup), ``__call__`` per Arrow batch;
 - `Backend::search` fetches one page and harvests `<a href>` in DOM
-  order (/root/reference/src/backend.rs:84-111) → here: a lookup into
-  the broadcast synthetic pages table (at web scale this is the real
-  HTTP/browser client; the batch contract is identical);
-- link absolutize + filter (the reference's engine.rs:44-68) stays
-  in Arrow for the whole batch: the ok rows' link lists are flattened
-  once, ``url.make_absolute_batch`` resolves the common href shapes with
+  order (src/backend.rs:84-111) → here: a lookup into
+  the broadcast synthetic pages table (``HttpFetcher`` in
+  ``http_fetch.py`` is the real HTTP transport; the batch contract is
+  identical);
+- link absolutize + filter and the per-URL extraction error lane (the
+  reference's engine.rs:29-68) are ``fetch_tail``, one function every
+  transport ends in: the ok rows' link lists are flattened once,
+  ``url.make_absolute_batch`` resolves the common href shapes with
   Arrow kernels and sends every other href through the scalar
   ``make_absolute``, one filter mask drops ignored links, and the output
   ``links`` column is rebuilt from the kept links' parent rows.
 
 Batch contract (all Arrow):
   in : url:string, attempt:int32, depth:int32
-  out: url, depth:int32, status:string (ok|timeout|error),
-       data:string?, links:list<string> (validated canonical),
-       image_id:string?, latency_ms:int32
+  out: url, attempt:int32, depth:int32, status:string
+       (ok|timeout|error), data:string?, links:list<string> (validated
+       canonical), image_id:string?, latency_ms:int32
 """
 
 from __future__ import annotations
@@ -63,16 +66,6 @@ def apply_extractor(extractor, page_rows: pa.Table):
     return vals, failed
 
 
-def _combined_view(t: pa.Table) -> pa.Table:
-    """combine_chunks() WITHOUT the copy when every column is already a
-    single chunk (the driver pre-combines before broadcast): Table/
-    ChunkedArray.combine_chunks memcpys even for one chunk, which at
-    workers × table-GB is a node-thrashing per-worker tax."""
-    if all(c.num_chunks <= 1 for c in t.columns):
-        return t
-    return t.combine_chunks()
-
-
 def _deref(maybe_ref):
     """Accept a plain object or a Ray ObjectRef (broadcast via ray.put)."""
     try:
@@ -94,11 +87,97 @@ def _list_by_parent(values: pa.Array, parent: np.ndarray,
     return pa.ListArray.from_arrays(pa.array(offsets), values)
 
 
+def fetch_tail(batch: pa.Table, status: np.ndarray, data, hrefs,
+               image_id, latency, filters: FilterSpec, extractor=None,
+               bases=None) -> pa.Table:
+    """The per-URL unit of work after the transport (engine.rs:29-68),
+    shared by every fetch backend: builds the fetch-stage table from
+    one batch's raw per-row results.
+
+    ``status`` holds one of ok|timeout|error per row; ``data`` and
+    ``image_id`` are string arrays (nulled on non-ok rows here),
+    ``hrefs`` the raw harvested links as ``list<string>`` (only the ok
+    rows' are read), ``latency`` an int32 array, and ``bases`` the URL
+    each row's hrefs resolve against (the post-redirect URL over HTTP;
+    None means the batch's own urls). The ok rows' hrefs are resolved
+    as one flat Arrow column (``url.make_absolute_batch``: Arrow
+    kernels for the common shapes, the scalar ``make_absolute`` for the
+    rest), one filter mask drops ignored links (engine.rs:51-57: drop
+    unparseable, drop if any filter ignores), and the ``links`` column
+    is rebuilt from the kept links' parent rows. Then the extraction
+    lane: ``extractor`` replaces each ok page's ``data``, and a page
+    whose script fails becomes an ``error`` with no data and no links.
+    """
+    import pyarrow.compute as pc
+
+    n = len(batch)
+    urls = batch.column("url")
+    ok = status == "ok"
+    ok_arr = pa.array(ok)
+    null_str = pa.scalar(None, pa.string())
+    data = pc.if_else(ok_arr, data, null_str)
+    image_id = pc.if_else(ok_arr, image_id, null_str)
+
+    ok_idx = np.flatnonzero(ok)
+    ok_take = pa.array(ok_idx)
+    ok_urls = urls.take(ok_take)
+    page_links = hrefs.take(ok_take)
+    if isinstance(page_links, pa.ChunkedArray):
+        page_links = page_links.combine_chunks()
+    absd = make_absolute_batch(
+        ok_urls if bases is None else bases.take(ok_take), page_links)
+    parent = ok_idx[np.asarray(pc.list_parent_indices(page_links))]
+    valid = np.asarray(absd.is_valid())
+    absd, parent = absd.filter(pa.array(valid)), parent[valid]
+    if len(absd):
+        keep = ~filters.ignored_mask(absd)
+        absd, parent = absd.filter(pa.array(keep)), parent[keep]
+    links = _list_by_parent(absd, parent, n)
+
+    if extractor is not None and ok.any():
+        page_rows = pa.table({
+            "url": ok_urls,
+            "data": pc.take(data, ok_take),
+            "links": links.take(ok_take),
+            "image_id": pc.take(image_id, ok_take),
+        })
+        ex_list, failed = apply_extractor(extractor, page_rows)
+        new_data = data.to_pylist()
+        for k, i in enumerate(ok_idx):
+            new_data[i] = ex_list[k]
+        if failed:
+            # failed script ⇒ that page is an error result: no data, no
+            # links (the reference's whole EngineResult is Err —
+            # engine.rs:29-44 / workload.rs:145-148)
+            failed_rows = ok_idx[failed]
+            status = status.astype(object)
+            status[failed_rows] = "error"
+            for i in failed_rows:
+                new_data[i] = None
+            keep = ~np.isin(parent, failed_rows)
+            links = _list_by_parent(absd.filter(pa.array(keep)),
+                                    parent[keep], n)
+        data = pa.array(new_data, pa.string())
+
+    return pa.table({
+        "url": urls,
+        "attempt": pc.cast(batch.column("attempt"), pa.int32()),
+        "depth": pc.cast(batch.column("depth"), pa.int32()),
+        "status": pa.array(status.tolist(), pa.string()),
+        "data": data,
+        "links": links,
+        "image_id": image_id,
+        "latency_ms": latency,
+    })
+
+
 class Fetcher:
-    """Callable class for ``map_batches(Fetcher, concurrency=N, ...)``.
+    """The synthetic-world fetch backend: a page lookup in the pages
+    table, then ``fetch_tail``. ``make_fetch_fn`` builds one per worker
+    process and reuses it for every chunk.
 
     ``pages`` is broadcast once with ``ray.put`` and dereferenced
-    zero-copy in each actor's ``__init__`` (NOT re-shipped per batch).
+    zero-copy in ``__init__`` (NOT re-shipped per batch).
     """
 
     def __init__(self, pages, filters: FilterSpec, extractor=None):
@@ -108,7 +187,7 @@ class Fetcher:
         import pyarrow.compute as pc
 
         self._pc = pc
-        self.t = _combined_view(_deref(pages))
+        self.t = _deref(pages).combine_chunks()
         self.urls_col = self.t.column("url")
         self.filters = filters
         # user-extension hook (reference M2/M3: per-page extraction UDF,
@@ -118,7 +197,6 @@ class Fetcher:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         pc = self._pc
-        n = len(batch)
         # vectorized hash-lookup of the whole batch against the pages
         # table (null index = dead link → non-retryable error)
         idx = pc.index_in(batch.column("url"), value_set=self.urls_col)
@@ -145,71 +223,13 @@ class Fetcher:
         status_np = np.where(
             ok, "ok", np.where(found & is_timeout, "timeout", "error")
         )
-        ok_arr = pa.array(ok)
-        null_str = pa.scalar(None, pa.string())
-        datas = pc.if_else(ok_arr, rows.column("data").combine_chunks(), null_str)
-        image_ids = pc.if_else(
-            ok_arr, rows.column("image_id").combine_chunks(), null_str
-        )
         latency = pc.fill_null(
             pc.cast(rows.column("latency_ms"), pa.int32()), 1
         )
-
-        # absolutize the OK rows' links as one flat Arrow column (fast
-        # path for canonical and root-relative hrefs, scalar
-        # make_absolute for the rest), then one filter mask
-        # (engine.rs:51-57: drop unparseable, drop if any filter ignores)
-        ok_idx = np.flatnonzero(ok)
-        ok_take = pa.array(ok_idx)
-        ok_urls = batch.column("url").take(ok_take)
-        page_links = rows.column("links").take(ok_take).combine_chunks()
-        absd = make_absolute_batch(ok_urls, page_links)
-        parent = ok_idx[np.asarray(pc.list_parent_indices(page_links))]
-        valid = np.asarray(absd.is_valid())
-        absd, parent = absd.filter(pa.array(valid)), parent[valid]
-        if len(absd):
-            keep = ~self.filters.ignored_mask(absd)
-            absd, parent = absd.filter(pa.array(keep)), parent[keep]
-        links = _list_by_parent(absd, parent, n)
-
-        if self.extractor is not None and ok.any():
-            page_rows = pa.table(
-                {
-                    "url": ok_urls,
-                    "data": pc.take(datas, ok_take),
-                    "links": links.take(ok_take),
-                    "image_id": pc.take(image_ids, ok_take),
-                }
-            )
-            ex_list, failed = apply_extractor(self.extractor, page_rows)
-            new_datas = datas.to_pylist() if hasattr(datas, "to_pylist") else list(datas)
-            for k, i in enumerate(ok_idx):
-                new_datas[i] = ex_list[k]
-            if failed:
-                # failed script ⇒ that page is an error result: no data,
-                # no links (the reference's whole EngineResult is Err —
-                # engine.rs:29-44 / workload.rs:145-148)
-                failed_rows = ok_idx[failed]
-                status_np[failed_rows] = "error"
-                for i in failed_rows:
-                    new_datas[i] = None
-                keep = ~np.isin(parent, failed_rows)
-                links = _list_by_parent(absd.filter(pa.array(keep)),
-                                        parent[keep], n)
-            datas = pa.array(new_datas, pa.string())
-
-        return pa.table(
-            {
-                "url": batch.column("url"),
-                "attempt": pc.cast(batch.column("attempt"), pa.int32()),
-                "depth": pc.cast(batch.column("depth"), pa.int32()),
-                "status": pa.array(status_np.tolist(), pa.string()),
-                "data": datas,
-                "links": links,
-                "image_id": image_ids,
-                "latency_ms": latency,
-            }
-        )
+        return fetch_tail(
+            batch, status_np, rows.column("data").combine_chunks(),
+            rows.column("links"), rows.column("image_id").combine_chunks(),
+            latency, self.filters, self.extractor)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +367,8 @@ BATCH_TRUTH_MIN_ROWS = 12
 
 
 class Validator:
-    """Decode + validate the image payload of fetched rows (actor pool —
-    the images index is built once per actor from a broadcast table).
+    """Decode + validate the image payload of fetched rows (built once
+    per worker process by ``make_validate_fn``, from a broadcast table).
 
     Emits the per-row invariant columns required by BASELINE.json:
     caption equality and decoded-pixel PSNR (>=40 dB for lossy fmts,
@@ -360,24 +380,25 @@ class Validator:
     ``BATCH_TRUTH_MIN_ROWS`` image rows takes it through
     ``synth.TruthBatch``: the generators' seeding and draws and the
     texture ramps run once over the chunk in numpy; each row keeps its
-    decode, its noise bytes, the texture add and the squared-error sum
-    (the float32 dot of ``codec.psnr``), and the chunk's PSNRs come from
-    those sums in one pass (``codec.psnr_from_sse``), so the output is
-    bit-identical to the per-row path. Rows TruthBatch cannot restate
-    take ``expected_pixels``. A row whose image id has no ``-<int>``
+    decode, its noise bytes and the texture add. Rows TruthBatch cannot
+    restate, and smaller chunks, take ``expected_pixels``. Every decoded
+    row records its squared-error sum (``codec.squared_error``) and
+    size, and the chunk's PSNRs come from those in one
+    ``codec.psnr_from_sse`` pass, as ``codec.psnr`` computes one pair's;
+    a size mismatch reads 0.0 dB. A row whose image id has no ``-<int>``
     part fails like one that does not decode: ``pixel_ok`` False,
     ``psnr_db`` NaN.
     """
 
     def __init__(self, images, world_seed: int, emit_bytes: bool = False,
                  psnr_min: float = 40.0, img_min: int = 16, img_max: int = 40):
-        from ..codec import decode_image, psnr, psnr_from_sse
+        from ..codec import decode_image, psnr_from_sse, squared_error
         from ..synth import (TruthBatch, expected_caption, expected_pixels,
                              image_index)
 
         t = _deref(images)
         self._decode = decode_image
-        self._psnr = psnr
+        self._sse = squared_error
         self._psnr_sse = psnr_from_sse
         self._exp_pix = expected_pixels
         self._exp_cap = expected_caption
@@ -398,12 +419,14 @@ class Validator:
         import pyarrow.compute as pc
 
         self._pc = pc
-        self.tab = _combined_view(t.drop_columns(["bytes"]))
-        # NEVER combine_chunks() the blob column here: even for a single
-        # chunk it memcpys the whole column (measured ~1 s/GB), and at
-        # workers × blob-GB that thrashes the node (prep_images_table
-        # guarantees single-chunk large_binary, so blob_view is the
-        # zero-copy view over the shared plasma buffers)
+        # Table.combine_chunks keeps the buffers of a one-chunk column,
+        # so this is a view for a prepped table
+        self.tab = t.drop_columns(["bytes"]).combine_chunks()
+        # NEVER ChunkedArray.combine_chunks() the blob column here: even
+        # for a single chunk it memcpys the whole column (measured ~1
+        # s/GB), and at workers × blob-GB that thrashes the node
+        # (prep_images_table guarantees single-chunk large_binary, so
+        # blob_view is the zero-copy view over the shared plasma buffers)
         barr = blob_view(t)
         if pa.types.is_binary(barr.type):
             barr = barr.cast(pa.large_binary())
@@ -450,8 +473,9 @@ class Validator:
         if len(todo) >= BATCH_TRUTH_MIN_ROWS and self._batchable:
             truth = self._truth_batch(index, self.seed, self.img_min,
                                       self.img_max)
-            sse = np.full(n, -1.0)  # squared-error sum of the batch rows
-            size = np.ones(n)  # and their element count
+        decoded = np.zeros(n, dtype=bool)
+        sse = np.zeros(n)  # each decoded row's squared-error sum
+        size = np.zeros(n)  # and element count (0: a size mismatch)
         for k, i in enumerate(todo):
             iid = ids[i]
             blob = self._blob_mv[starts[i] : ends[i]]
@@ -460,22 +484,18 @@ class Validator:
                 pix = self._decode(blob, fmt)
             except Exception:
                 continue
-            if truth is None or truth.scalar[k] or pix.shape != (
-                    truth.h[k], truth.w[k], 3):
-                # per row (a size mismatch reads codec.psnr's 0.0)
-                p = self._psnr(self._exp_pix(
-                    iid, self.seed, self.img_min, self.img_max), pix)
-                psnr_db[i] = p if np.isfinite(p) else 999.0
-                pixel_ok[i] = p >= self.psnr_min
+            decoded[i] = True
+            if truth is None or truth.scalar[k]:
+                h3w = self._exp_pix(iid, self.seed, self.img_min,
+                                    self.img_max)
+                h3w = h3w.reshape(h3w.shape[0], -1)
             else:
                 h3w = truth.pixels(k)
+            if pix.shape == (h3w.shape[0], h3w.shape[1] // 3, 3):
                 pix = pix.reshape(h3w.shape)
                 size[i] = h3w.size
-                if fmt == "png" and (h3w == pix).all():
-                    sse[i] = 0.0  # lossless: a zero difference
-                else:
-                    d = np.subtract(h3w, pix, dtype=np.float32).reshape(-1)
-                    sse[i] = np.dot(d, d)
+                if not (fmt == "png" and (h3w == pix).all()):
+                    sse[i] = self._sse(h3w, pix)  # lossless: stays 0
             caption = cap_l[i]
             caption_ok[i] = caption == self._exp_cap(iid, self.seed)
             captions[i] = caption
@@ -483,11 +503,9 @@ class Validator:
             phashes[i] = ph_l[i]
             if self.emit_bytes:
                 blobs[i] = blob
-        if truth is not None:
-            fused = sse >= 0
-            p = self._psnr_sse(sse[fused], size[fused])
-            psnr_db[fused] = np.where(np.isfinite(p), p, 999.0)
-            pixel_ok[fused] = p >= self.psnr_min
+        p = self._psnr_sse(sse[decoded], size[decoded])
+        psnr_db[decoded] = np.where(np.isfinite(p), p, 999.0)
+        pixel_ok[decoded] = p >= self.psnr_min
 
         cols = dict(zip(batch.column_names, batch.columns))
         cols["caption"] = pa.array(captions, pa.string())

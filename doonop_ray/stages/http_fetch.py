@@ -2,17 +2,20 @@
 
 The reference fetches through a WebDriver session and harvests every
 ``<a href>`` in DOM order (engine_builder.rs:76-136, backend.rs:84-111).
-This backend implements the same per-page contract over plain HTTP with
-``urllib`` + an ``html.parser`` link harvester: fetch the page body,
-collect ``<a href>`` in document order (missing hrefs skipped —
-backend.rs:97-104), absolutize against the page URL and filter
-(engine.rs:44-68). The batch contract is identical to
-``doonop_ray.stages.fetch.Fetcher`` (in: url/attempt/depth Arrow batch;
-out: url/attempt/depth/status/data/links/image_id/latency_ms), so the
-whole downstream engine (validator, router, frontier, checkpoints) is
-transport-agnostic — the loopback integration test runs the reference's
-own fixture pattern (``python3 -m http.server`` serving tests/www,
-docker-compose.yml:9-16) against this class end-to-end.
+This backend is only the transport, over plain HTTP with ``urllib`` +
+an ``html.parser`` link harvester: fetch the page body and collect
+``<a href>`` in document order (missing hrefs skipped —
+backend.rs:97-104). The rest of the per-URL unit of work
+(engine.rs:29-68: absolutize against the post-redirect URL, filter,
+the extraction lane) is ``doonop_ray.stages.fetch.fetch_tail``, the
+function the synthetic ``Fetcher`` ends in too. So both backends keep
+the same batch contract (in: url/attempt/depth Arrow batch; out:
+url/attempt/depth/status/data/links/image_id/latency_ms) under the
+same link rules, and the whole downstream engine (validator, router,
+frontier, checkpoints) is transport-agnostic — the loopback
+integration test runs the reference's own fixture pattern
+(``python3 -m http.server`` serving tests/www, docker-compose.yml:9-16)
+against this class end-to-end.
 
 This container has no external network, so tests bind 127.0.0.1; the
 code itself is host-agnostic. The timeout maps to the reference's
@@ -34,10 +37,11 @@ import weakref
 from dataclasses import dataclass
 from html.parser import HTMLParser
 
+import numpy as np
 import pyarrow as pa
 
 from ..filters import FilterSpec
-from ..url import make_absolute
+from .fetch import fetch_tail
 
 
 @dataclass
@@ -184,12 +188,12 @@ def harvest_links(html_text: str) -> list[str]:
 
 
 class HttpFetcher:
-    """Actor-pool fetch stage over real HTTP (stdlib urllib transport).
+    """Fetch stage over real HTTP (stdlib urllib transport).
 
-    ``__init__`` is the once-per-actor session construction seam
+    ``__init__`` is the once-per-worker session construction seam
     (engine_builder.rs:93-136): build the opener (with the parsed proxy
     applied — :113-120), set UA and timeout. ``__call__`` fetches one
-    Arrow batch of URLs through a per-actor thread pool
+    Arrow batch of URLs through a per-worker thread pool
     (``max_concurrency``, I/O-bound — sockets release the GIL), so one
     slow host stalls a batch for ~the slowest page, not
     ``batch_size x timeout``. Per-row status/data/links mapping is
@@ -200,9 +204,11 @@ class HttpFetcher:
     ``-j > 1`` (workload.rs:281-305).
 
     ``data`` is the decoded page text (the ``document.body.innerText``
-    feed for the check-file UDFs); an ``extractor`` replaces it per OK
-    page exactly like the synthetic Fetcher. ``image_id`` is null —
-    payload validation is a synthetic-world notion.
+    feed for the check-file UDFs); the raw hrefs, that text and the
+    post-redirect URLs go to ``fetch_tail``, where an ``extractor``
+    replaces the text per OK page exactly as for the synthetic Fetcher.
+    ``image_id`` is null — payload validation is a synthetic-world
+    notion.
     """
 
     def __init__(self, filters: FilterSpec, proxy: str | None = None,
@@ -243,7 +249,7 @@ class HttpFetcher:
         state["_pool"] = None
         return state
 
-    def _transport(self, url: str) -> tuple[str, list[str]]:
+    def _transport(self, url: str) -> tuple[str, list[str], str]:
         """Fetch one page; returns (page_text, raw hrefs in doc order,
         final post-redirect URL — the base a browser would resolve
         relative hrefs against). Raises socket.timeout/URLError upward
@@ -254,8 +260,8 @@ class HttpFetcher:
         text = body.decode("utf-8", "replace")
         return text, harvest_links(text), final_url
 
-    def _fetch_one(self, url: str) -> tuple[str, str | None, list[str], int]:
-        """One page: (status, data, validated links, latency_ms).
+    def _fetch_one(self, url: str):
+        """One page: (status, data, raw hrefs, base URL, latency_ms).
         Timeout maps to the retryable "timeout" status
         (backend.rs:60-65); everything else is "error"."""
         import socket
@@ -267,42 +273,27 @@ class HttpFetcher:
             return max(1, int((time.monotonic() - t0) * 1000))
 
         try:
-            text, hrefs, base_url = self._transport(url)
+            text, hrefs, final_url = self._transport(url)
         except (socket.timeout, TimeoutError):
-            return "timeout", None, [], lat()
+            return "timeout", None, None, None, lat()
         except urllib.error.URLError as e:
             # a timeout may also surface wrapped in URLError
             if isinstance(getattr(e, "reason", None),
                           (socket.timeout, TimeoutError)):
-                return "timeout", None, [], lat()
-            return "error", None, [], lat()
+                return "timeout", None, None, None, lat()
+            return "error", None, None, None, lat()
         except Exception:
-            return "error", None, [], lat()
-        latency = lat()
-        # absolutize + filter (engine.rs:44-68): drop unparseable, drop
-        # if any filter ignores. The base is the POST-redirect URL —
-        # urllib followed redirects, and a browser (the reference's
-        # WebDriver backend) resolves relative hrefs against the final
-        # location, not the requested one
-        absd = [a for a in (make_absolute(base_url, h) for h in hrefs)
-                if a is not None]
-        if absd:
-            keep = ~self.filters.ignored_mask(absd)
-            absd = [a for a, k in zip(absd, keep) if k]
-        return "ok", text, absd, latency
+            return "error", None, None, None, lat()
+        # the base is the POST-redirect URL: urllib followed redirects,
+        # and a browser (the reference's WebDriver backend) resolves
+        # relative hrefs against the final location, not the requested one
+        return "ok", text, hrefs, final_url, lat()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc
-
         urls = batch.column("url").to_pylist()
         n = len(urls)
-        statuses: list[str] = ["error"] * n
-        datas: list[str | None] = [None] * n
-        links_out: list[list[str]] = [[] for _ in range(n)]
-        latency = np.ones(n, dtype=np.int32)
         if n > 1 and self.max_concurrency > 1:
-            # I/O-bound fan-out inside the actor: batch wall-time ≈ the
+            # I/O-bound fan-out inside the worker: batch wall-time ≈ the
             # slowest page, not the sum of timeouts
             if self._pool is None:
                 from concurrent.futures import ThreadPoolExecutor
@@ -315,42 +306,10 @@ class HttpFetcher:
             results = list(self._pool.map(self._fetch_one, urls))
         else:
             results = [self._fetch_one(u) for u in urls]
-        for i, (st, text, absd, lat_ms) in enumerate(results):
-            statuses[i] = st
-            datas[i] = text
-            links_out[i] = absd
-            latency[i] = lat_ms
-
-        if self.extractor is not None:
-            ok_idx = [i for i, s in enumerate(statuses) if s == "ok"]
-            if ok_idx:
-                page_rows = pa.table({
-                    "url": pa.array([urls[i] for i in ok_idx], pa.string()),
-                    "data": pa.array([datas[i] for i in ok_idx], pa.string()),
-                    "links": pa.array([links_out[i] for i in ok_idx],
-                                      pa.list_(pa.string())),
-                    "image_id": pa.nulls(len(ok_idx), pa.string()),
-                })
-                from .fetch import apply_extractor
-
-                ex, failed = apply_extractor(self.extractor, page_rows)
-                for k, i in enumerate(ok_idx):
-                    datas[i] = ex[k]
-                for k in failed:
-                    # per-URL error lane (workload.rs:145-148): a failed
-                    # script run errors THAT page, the crawl continues
-                    i = ok_idx[k]
-                    statuses[i] = "error"
-                    datas[i] = None
-                    links_out[i] = []
-
-        return pa.table({
-            "url": batch.column("url"),
-            "attempt": pc.cast(batch.column("attempt"), pa.int32()),
-            "depth": pc.cast(batch.column("depth"), pa.int32()),
-            "status": pa.array(statuses, pa.string()),
-            "data": pa.array(datas, pa.string()),
-            "links": pa.array(links_out, pa.list_(pa.string())),
-            "image_id": pa.nulls(n, pa.string()),
-            "latency_ms": pa.array(latency, pa.int32()),
-        })
+        status, data, hrefs, bases, latency = (
+            zip(*results) if n else ((),) * 5)
+        return fetch_tail(
+            batch, np.array(status, dtype=object), pa.array(data, pa.string()),
+            pa.array(hrefs, pa.list_(pa.string())), pa.nulls(n, pa.string()),
+            pa.array(latency, pa.int32()), self.filters, self.extractor,
+            bases=pa.array(bases, pa.string()))

@@ -249,12 +249,13 @@ def test_scaled_resume_from_checkpoint(ray_session, tmp_path):
     assert resumed.seen_sets() == golden_seen
 
 
-@pytest.mark.parametrize("kind", ["limit", "bulk", "organic"])
+@pytest.mark.parametrize("kind", ["limit", "bulk", "organic", "empty"])
 def test_stream_metrics_schema(ray_session, tmp_path, kind):
     """Every run mode appends the same ``_stream_metrics.jsonl`` row: the
     crawl-loop timers, the boot (a seed Dataset's crawl boots too), the
     summed in-task stage seconds, the driver's CPU seconds, the seen
-    occupancy and the run's stats, equal to what ``run()`` returned."""
+    occupancy and the run's stats, equal to what ``run()`` returned. A
+    fresh run with no seeds writes its row too, with no chunks."""
     import json
 
     import ray.data as rd
@@ -267,6 +268,8 @@ def test_stream_metrics_schema(ray_session, tmp_path, kind):
     elif kind == "bulk":
         kw.update(seeds=[], seeds_canonical=True)
         seeds_ds = rd.from_arrow(w.pages.select(["url"]))
+    elif kind == "empty":
+        kw["seeds"] = []
     crawler = RayCrawler(_cfg(w, **kw), w.pages, w.images, w.robots_map(),
                          str(tmp_path / "out"), world_seed=WORLDS[0].seed,
                          seeds_ds=seeds_ds)
@@ -287,10 +290,11 @@ def test_stream_metrics_schema(ray_session, tmp_path, kind):
                                      "persist", "route"}
     assert all(v >= 0 for v in row["stage_sec"].values())
     assert row["stats"] == stats.as_dict()
-    assert row["chunks"] > 0
+    busy = kind != "empty"
+    assert (row["chunks"] > 0) == busy
     assert row["seen_stash"] == 0
     engines = kw["engines"]
-    assert 1 <= row["peak_inflight"] <= engines + max(1, engines // 4)
+    assert busy <= row["peak_inflight"] <= engines + max(1, engines // 4)
     assert 0 <= row["underfill_sec"]
     assert row["driver_cpu_sec"] >= 0 and row["driver_proc_cpu_sec"] >= 0
     assert _artifact_rows(tmp_path / "out") == stats.visited

@@ -125,6 +125,28 @@ def test_a_malformed_image_id_fails_its_row_not_the_chunk(n_good):
     assert out.column("caption").to_pylist()[-1] is None
 
 
+def test_stages_view_a_single_chunk_tables_buffers():
+    """``Table.combine_chunks`` keeps the buffers of a column that is one
+    chunk already, so a Fetcher and a Validator built on a prepped table
+    hold views of it, not per-worker copies."""
+    pages = WORLD.pages.combine_chunks()
+    images = prep_images_table(WORLD.images)
+
+    def addresses(col):
+        return [b.address for c in col.chunks for b in c.buffers()
+                if b is not None]
+
+    f = Fetcher(pages, FilterSpec())
+    for name in pages.column_names:
+        assert addresses(f.t.column(name)) == addresses(pages.column(name))
+    v = Validator(images, WORLD.params.seed)
+    for name in v.tab.column_names:
+        assert addresses(v.tab.column(name)) == \
+            addresses(images.column(name))
+    blobs = images.column("bytes").chunk(0)
+    assert v._blob_off.ctypes.data == blobs.buffers()[1].address
+
+
 def test_persist_name_is_deterministic_per_chunk(tmp_path):
     urls = WORLD.pages.column("url").to_pylist()
     a, b = _fetched(urls[:20]), _fetched(urls[20:40])

@@ -243,6 +243,57 @@ def test_http_ignore_filter_applied(www):
         f"{base}/basic/index.html"]
 
 
+def test_http_fetch_tail_without_a_socket(monkeypatch):
+    """The transport's raw hrefs go through the shared fetch tail: each
+    page's links are ``make_absolute`` of its hrefs against the
+    POST-redirect URL, minus the links the filters ignore, for hrefs of
+    every shape; and an extractor whose script fails on one page errors
+    only that page (no data, no links)."""
+    import numpy as np
+    import pyarrow as pa
+
+    from doonop_ray.functions.checkfile import CheckFileError
+    from doonop_ray.url import make_absolute
+
+    hrefs = ["/root.html", "../up.html", "  sib.html  ", "#frag",
+             "mailto:x@y.z", "ftp://h1.example/f", "http://ads.example/x",
+             "HTTP://H2.Example/ok", "http://h2.example/p?q=1"]
+
+    def transport(self, url):
+        # every page redirects one directory deeper
+        return f"text of {url}", hrefs, url.rsplit("/", 1)[0] + "/b/x.html"
+
+    def extractor(rows):
+        if any("bad" in u for u in rows.column("url").to_pylist()):
+            raise CheckFileError("assertion failed")
+        return pa.array([d.upper() for d in
+                         rows.column("data").to_pylist()])
+
+    monkeypatch.setattr(HttpFetcher, "_transport", transport)
+    filters = FilterSpec((r"ads\.example",), None)
+    f = HttpFetcher(filters, extractor=extractor)
+    urls = ["http://h1.example/a/one.html", "http://h1.example/a/bad.html",
+            "http://h3.example/two.html"]
+    out = f(pa.table({
+        "url": urls,
+        "attempt": pa.array([0] * 3, pa.int32()),
+        "depth": pa.array([0] * 3, pa.int32()),
+    }))
+    assert out.column("status").to_pylist() == ["ok", "error", "ok"]
+    assert out.column("data").to_pylist() == [
+        f"text of {urls[0]}".upper(), None, f"text of {urls[2]}".upper()]
+    links = out.column("links").to_pylist()
+    assert links[1] == []
+    for url, got in zip(urls[::2], links[::2]):
+        base = url.rsplit("/", 1)[0] + "/b/x.html"
+        absd = [a for a in (make_absolute(base, h) for h in hrefs)
+                if a is not None]
+        keep = ~filters.ignored_mask(absd)
+        want = list(np.array(absd)[keep])
+        assert got == want
+        assert "http://ads.example/x" not in got and len(got) == 6
+
+
 def test_http_robots_fetcher_paths(www):
     """404 body compiles as robots (reqwest parity: HTTP status is not
     an error); IP-literal hosts skip robots (url.domain() None)."""
